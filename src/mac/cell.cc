@@ -1,5 +1,7 @@
 #include "mac/cell.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/logging.h"
 #include "mac/packet.h"
@@ -50,6 +52,7 @@ int Cell::AddSubscriber(bool wants_gps, std::optional<Ein> ein_override) {
       std::make_unique<MobileSubscriber>(node, ein, wants_gps, config_.mac, rng_.Fork()));
   AddNodeChannels(node);
   gps_phase_.push_back(DrawGpsPhase(wants_gps));
+  last_paging_check_.push_back(kNoPagingCheck);
   subscribers_.back()->SetSloMonitor(&slo_);
   if (trace_ != nullptr) {
     subscribers_.back()->SetEventSink(trace_);
@@ -108,7 +111,7 @@ void Cell::SignOff(int node) {
   sub.PowerOff();
   // The node's service history ends here: gaps spanning the off period are
   // not SLO violations.
-  last_paging_check_.erase(node);
+  last_paging_check_[static_cast<std::size_t>(node)] = kNoPagingCheck;
   last_gps_delivery_.erase(node);
 }
 
@@ -182,7 +185,7 @@ void Cell::ResetStats() {
   // Gap trackers restart too: a gap whose left endpoint predates the
   // measurement window would otherwise surface as a spurious first-cycle
   // miss (with none of its history in an attached trace).
-  last_paging_check_.clear();
+  std::fill(last_paging_check_.begin(), last_paging_check_.end(), kNoPagingCheck);
   last_gps_delivery_.clear();
 }
 
@@ -391,12 +394,17 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
 
 void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle_start) {
   OSUMAC_PROFILE_ZONE("cell.cf");
-  const auto blocks = SerializeControlFields(cf);
+  const ControlFieldBlocks blocks = SerializeControlFields(cf);
   cf_codewords_.resize(2);
   for (std::size_t i = 0; i < 2; ++i) {
     cf_codewords_[i].resize(static_cast<std::size_t>(data_code_.n()));
     data_code_.EncodeInto(blocks[i], cf_codewords_[i]);
   }
+  // Parsed once per set: every receiver that decodes the sent bytes exactly
+  // shares this struct (ReceivedControlFields).
+  const std::optional<ControlFields> sent = ParseControlFields(blocks[0], blocks[1]);
+  OSUMAC_CHECK(sent.has_value());
+  std::optional<ControlFields> own;
 
   const Interval body =
       second ? Interval{cycle_start + ForwardCycleLayout::Preamble2().begin,
@@ -428,7 +436,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
     } else {
       // Active service interrupts the inactive-check cadence: the next
       // off-state check must not be scored against time spent active.
-      last_paging_check_.erase(node);
+      last_paging_check_[static_cast<std::size_t>(node)] = kNoPagingCheck;
     }
     if (!sub.radio().CanReceive(body)) {
       // Physically unable (still transmitting): the schedule is lost on it.
@@ -438,13 +446,13 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
 
     // Each mobile sees its own downlink path.
     int corrected = 0;
-    std::optional<ControlFields> parsed;
+    const ControlFields* parsed = nullptr;
     if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node), rng_,
                               channel_scratch_, cf_decoded_, &corrected,
                               config_.erasure_side_information)) {
-      parsed = ParseControlFields(cf_decoded_[0], cf_decoded_[1]);
+      parsed = ReceivedControlFields(blocks, *sent, cf_decoded_[0], cf_decoded_[1], own);
     }
-    if (!parsed.has_value()) {
+    if (parsed == nullptr) {
       sub.OnControlFieldsMissed();
       continue;
     }
@@ -453,14 +461,15 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
       // A successful paging check: the checking delay is the gap between
       // consecutive decoded checks, so CF losses (fades) stretch it past
       // the nominal inactive_listen_period toward a budget miss.
-      const auto [it, first_check] = last_paging_check_.emplace(node, sim_.now());
-      if (!first_check) {
-        slo_.Observe(obs::SloClass::kCheckingDelay, ToSeconds(sim_.now() - it->second));
-        it->second = sim_.now();
+      Tick& last_check = last_paging_check_[static_cast<std::size_t>(node)];
+      if (last_check != kNoPagingCheck) {
+        slo_.Observe(obs::SloClass::kCheckingDelay, ToSeconds(sim_.now() - last_check));
       }
+      last_check = sim_.now();
     }
 
-    const std::vector<PlannedBurst> bursts = sub.OnControlFields(*parsed, cycle_start);
+    const std::span<const PlannedBurst> bursts =
+        sub.OnControlFields(*parsed, cycle_start, bursts_);
     // Slot positions follow the same format convention the subscriber used
     // (static GPS policy pins both ends to format 1).
     const ReverseCycleLayout layout(config_.mac.dynamic_gps_slots
@@ -653,7 +662,8 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
 
   fwd_codewords_.resize(1);
   fwd_codewords_[0].resize(static_cast<std::size_t>(data_code_.n()));
-  data_code_.EncodeInto(SerializeForwardDataPacket(*packet), fwd_codewords_[0]);
+  SerializeForwardDataPacket(*packet, fwd_info_);
+  data_code_.EncodeInto(fwd_info_, fwd_codewords_[0]);
   std::optional<ForwardDataPacket> parsed;
   if (phy::ApplyChannelInto(fwd_codewords_, data_code_,
                             ForwardModelFor(dest->node_index()), rng_, channel_scratch_,

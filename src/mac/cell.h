@@ -175,9 +175,16 @@ class Cell : private CellSubstrate {
   std::map<std::uint32_t, Tick> downlink_enqueue_tick_;
 
   std::vector<CellObserver*> observers_;
-  /// Per-node tick of the last off-state paging check; erased whenever the
-  /// node is seen active so checking delay only spans true inactive periods.
-  std::map<int, Tick> last_paging_check_;
+  /// Per-node tick of the last off-state paging check (kNoPagingCheck:
+  /// none); reset whenever the node is seen active so checking delay only
+  /// spans true inactive periods.
+  static constexpr Tick kNoPagingCheck = -1;
+  std::vector<Tick> last_paging_check_;
+  /// Reused per-receiver burst list (MobileSubscriber::OnControlFields) and
+  /// forward info block: control-field delivery allocates nothing per
+  /// receiver in the steady state.
+  std::vector<PlannedBurst> bursts_;
+  std::vector<fec::GfElem> fwd_info_;
   /// Per-node tick of the last decoded GPS report (inter-service gap).
   std::map<int, Tick> last_gps_delivery_;
 

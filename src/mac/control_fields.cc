@@ -1,5 +1,8 @@
 #include "mac/control_fields.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.h"
 
 #include "common/bitio.h"
@@ -15,8 +18,9 @@ int ControlFields::ActiveGpsCount() const {
   return count;
 }
 
-std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFields& cf) {
-  BitWriter w;
+ControlFieldBlocks SerializeControlFields(const ControlFields& cf) {
+  ControlFieldBlocks blocks;
+  BitWriter w(blocks.bytes);
   w.Write(cf.cycle, 16);
   w.Write(cf.is_second_set ? 1 : 0, 1);
   w.Write(cf.late_grant.has_value() ? 1 : 0, 1);
@@ -45,23 +49,13 @@ std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFiel
   OSUMAC_CHECK_EQ(w.bit_size(), kControlFieldBits);
   w.WriteZeros(kControlFieldReservedBits);  // reserved bits of the 2 codewords
   OSUMAC_CHECK_EQ(w.bit_size(), 2 * phy::kRsInfoBits);
-
-  const std::vector<fec::GfElem> bytes = w.BytesPaddedTo(2 * phy::kRsInfoBytes);
-  std::array<std::vector<fec::GfElem>, 2> blocks;
-  blocks[0].assign(bytes.begin(), bytes.begin() + phy::kRsInfoBytes);
-  blocks[1].assign(bytes.begin() + phy::kRsInfoBytes, bytes.end());
   return blocks;
 }
 
-std::optional<ControlFields> ParseControlFields(const std::vector<fec::GfElem>& block0,
-                                                const std::vector<fec::GfElem>& block1) {
-  if (static_cast<int>(block0.size()) != phy::kRsInfoBytes ||
-      static_cast<int>(block1.size()) != phy::kRsInfoBytes) {
-    return std::nullopt;
-  }
-  std::vector<fec::GfElem> bytes = block0;
-  bytes.insert(bytes.end(), block1.begin(), block1.end());
-  BitReader r(std::move(bytes));
+namespace {
+
+std::optional<ControlFields> Parse(const ControlFieldBlocks& blocks) {
+  BitReader r(blocks.bytes);
 
   ControlFields cf;
   cf.cycle = static_cast<std::uint16_t>(r.Read(16));
@@ -89,6 +83,33 @@ std::optional<ControlFields> ParseControlFields(const std::vector<fec::GfElem>& 
   r.Skip(14);
   if (r.overflowed()) return std::nullopt;
   return cf;
+}
+
+}  // namespace
+
+std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,
+                                                std::span<const fec::GfElem> block1) {
+  if (static_cast<int>(block0.size()) != phy::kRsInfoBytes ||
+      static_cast<int>(block1.size()) != phy::kRsInfoBytes) {
+    return std::nullopt;
+  }
+  ControlFieldBlocks blocks;
+  std::copy(block0.begin(), block0.end(), blocks.bytes.begin());
+  std::copy(block1.begin(), block1.end(), blocks.bytes.begin() + phy::kRsInfoBytes);
+  return Parse(blocks);
+}
+
+const ControlFields* ReceivedControlFields(const ControlFieldBlocks& sent,
+                                           const ControlFields& sent_parsed,
+                                           std::span<const fec::GfElem> block0,
+                                           std::span<const fec::GfElem> block1,
+                                           std::optional<ControlFields>& own) {
+  const auto equal = [](std::span<const fec::GfElem> a, std::span<const fec::GfElem> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
+  };
+  if (equal(block0, sent[0]) && equal(block1, sent[1])) return &sent_parsed;
+  own = ParseControlFields(block0, block1);
+  return own.has_value() ? &*own : nullptr;
 }
 
 }  // namespace osumac::mac

@@ -30,11 +30,12 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "fec/gf256.h"
 #include "mac/cycle_layout.h"
 #include "mac/ids.h"
+#include "phy/phy_params.h"
 
 namespace osumac::mac {
 
@@ -118,12 +119,35 @@ inline constexpr int kControlFieldBits = 630;
 inline constexpr int kControlFieldReservedBits = 2 * 384 - kControlFieldBits;
 static_assert(kControlFieldReservedBits == 138);
 
+/// One serialized control-field set: the two RS(64,48) information blocks
+/// (48 bytes each) back to back.  `blocks[i]` views information block i.
+struct ControlFieldBlocks {
+  std::array<fec::GfElem, 2 * phy::kRsInfoBytes> bytes{};
+
+  std::span<const fec::GfElem> operator[](std::size_t i) const {
+    return std::span<const fec::GfElem>(bytes).subspan(i * phy::kRsInfoBytes,
+                                                        phy::kRsInfoBytes);
+  }
+};
+
 /// Serializes into exactly 96 bytes = two RS(64,48) information blocks.
-std::array<std::vector<fec::GfElem>, 2> SerializeControlFields(const ControlFields& cf);
+ControlFieldBlocks SerializeControlFields(const ControlFields& cf);
 
 /// Parses two decoded 48-byte information blocks. Returns nullopt if the
 /// blocks are malformed (wrong size or out-of-range fields).
-std::optional<ControlFields> ParseControlFields(
-    const std::vector<fec::GfElem>& block0, const std::vector<fec::GfElem>& block1);
+std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,
+                                                std::span<const fec::GfElem> block1);
+
+/// The control fields one receiver acts on.  The sender parses each set
+/// once (`sent_parsed`, from `sent`); a receiver whose decoded blocks equal
+/// the sent blocks byte for byte shares that struct, any other receiver
+/// gets its own bytes parsed into `own`.  Returns nullptr when those bytes
+/// are malformed.  Byte equality keeps this exact even when RS decoding
+/// miscorrects: a receiver never sees fields its bytes do not carry.
+const ControlFields* ReceivedControlFields(const ControlFieldBlocks& sent,
+                                           const ControlFields& sent_parsed,
+                                           std::span<const fec::GfElem> block0,
+                                           std::span<const fec::GfElem> block1,
+                                           std::optional<ControlFields>& own);
 
 }  // namespace osumac::mac

@@ -18,11 +18,13 @@
 // to the second set of control fields; everyone else listens to the first.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,8 +103,12 @@ class MobileSubscriber {
 
   /// Processes a successfully decoded control-field set and returns the
   /// bursts to put on the reverse channel this cycle.  Also commits all
-  /// radio RX/TX intervals for the cycle.
-  std::vector<PlannedBurst> OnControlFields(const ControlFields& cf, Tick cycle_start);
+  /// radio RX/TX intervals for the cycle.  The bursts are written to the
+  /// front of the caller-owned `bursts`, whose entries (and their `info`
+  /// buffers) are reused from call to call; the returned span views them
+  /// and stays valid until `bursts` is next reused.
+  std::span<const PlannedBurst> OnControlFields(const ControlFields& cf, Tick cycle_start,
+                                                std::vector<PlannedBurst>& bursts);
 
   /// The expected control fields could not be decoded: the subscriber
   /// stays silent this cycle (it has no trustworthy schedule).
@@ -199,17 +205,21 @@ class MobileSubscriber {
     std::optional<PendingPacket> packet;  ///< for data-in-contention
   };
 
+  /// Appends bursts to a caller-owned list, reusing its entries.
+  struct BurstOut;
+
   void ProcessAcks(const ControlFields& cf, Tick cycle_start);
   void ProcessGrantsAndSchedule(const ControlFields& cf);
-  std::vector<PlannedBurst> PlanTransmissions(const ControlFields& cf, Tick cycle_start);
+  void PlanTransmissions(const ControlFields& cf, Tick cycle_start, BurstOut& out);
   /// Picks a contention slot compatible with this cycle's RX commitments
   /// whose airtime starts at or after `not_before`.
   std::optional<int> PickContentionSlot(const ControlFields& cf, Tick cycle_start,
                                         const ReverseCycleLayout& layout,
                                         Tick not_before);
-  /// Shared contention path for data users (reservation or direct data).
-  std::optional<PlannedBurst> TryContendData(const ControlFields& cf, Tick cycle_start,
-                                             Tick not_before);
+  /// Shared contention path for data users (reservation or direct data);
+  /// appends the burst to `out` if the subscriber contends.
+  void TryContendData(const ControlFields& cf, Tick cycle_start, Tick not_before,
+                      BurstOut& out);
   /// The reverse-cycle format implied by `cf` under the system's slot
   /// policy: with dynamic GPS slots the format follows the announced GPS
   /// count (the paper's implicit signaling); with the static ("naive")
@@ -318,9 +328,10 @@ class MobileSubscriber {
     return static_cast<int>(pending_fwd_acks_.size()) >= 5 ||
            cycle_counter_ - oldest_pending_ack_cycle_ >= 2;
   }
-  /// Builds one kForwardAck burst covering up to kMaxForwardAcks pending
+  /// Appends one kForwardAck burst covering up to kMaxForwardAcks pending
   /// entries, committing the radio and bookkeeping.
-  PlannedBurst MakeAckBurst(int slot, const ReverseCycleLayout& layout, Tick cycle_start);
+  void MakeAckBurst(int slot, const ReverseCycleLayout& layout, Tick cycle_start,
+                    BurstOut& out);
 
   // The control fields received this cycle (for late contention) and the
   // number of reverse slots granted to us in them.
@@ -328,7 +339,7 @@ class MobileSubscriber {
   int granted_this_cycle_ = 0;
 
   // Forward path.
-  std::set<int> forward_slots_mine_;
+  std::bitset<kForwardDataSlots> forward_slots_mine_;
   std::map<std::uint32_t, std::set<std::uint8_t>> forward_frags_;
   std::map<std::uint32_t, std::uint8_t> forward_frag_counts_;
   std::vector<std::uint32_t> completed_forward_messages_;

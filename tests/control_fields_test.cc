@@ -2,6 +2,9 @@
 // layout carried in two RS(64,48) codewords.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/rng.h"
 #include "fec/reed_solomon.h"
 #include "mac/control_fields.h"
@@ -119,6 +122,96 @@ TEST(ControlFieldsTest, SurvivesRsEncodingWithCorrectableErrors) {
   const auto parsed = ParseControlFields(decoded[0], decoded[1]);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, cf);
+}
+
+ControlFields RandomValidControlFields(Rng& rng) {
+  const auto uid = [&] { return static_cast<UserId>(rng.UniformInt(0, 63)); };
+  const auto ein = [&] { return static_cast<Ein>(rng.UniformInt(0, 0xFFFF)); };
+  ControlFields cf;
+  cf.cycle = static_cast<std::uint16_t>(rng.UniformInt(0, 0xFFFF));
+  cf.is_second_set = rng.Bernoulli(0.5);
+  for (UserId& u : cf.gps_schedule) u = uid();
+  for (UserId& u : cf.reverse_schedule) u = uid();
+  for (UserId& u : cf.forward_schedule) u = uid();
+  for (UserId& u : cf.reverse_acks) u = uid();
+  cf.gps_ack_bitmap = static_cast<std::uint8_t>(rng.UniformInt(0, 0xFF));
+  cf.grant_count = static_cast<int>(rng.UniformInt(0, kMaxRegistrationGrants));
+  for (RegistrationGrant& g : cf.grants) g = {ein(), uid()};
+  cf.late_ack = uid();
+  if (rng.Bernoulli(0.5)) cf.late_grant = RegistrationGrant{ein(), uid()};
+  cf.paged_count = static_cast<int>(rng.UniformInt(0, kMaxPagedUsers));
+  for (Ein& e : cf.paging) e = ein();
+  return cf;
+}
+
+TEST(ControlFieldsTest, RandomValidSetsRoundTrip) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const ControlFields cf = RandomValidControlFields(rng);
+    const ControlFieldBlocks blocks = SerializeControlFields(cf);
+    const auto parsed = ParseControlFields(blocks[0], blocks[1]);
+    ASSERT_TRUE(parsed.has_value()) << "trial " << trial;
+    EXPECT_EQ(*parsed, cf) << "trial " << trial;
+  }
+}
+
+// --- per-receiver reuse (ReceivedControlFields) ------------------------------
+
+class ReceivedControlFieldsTest : public ::testing::Test {
+ protected:
+  ControlFieldBlocks sent_ = SerializeControlFields(MakeBusyControlFields());
+  ControlFields sent_parsed_ = *ParseControlFields(sent_[0], sent_[1]);
+  std::vector<fec::GfElem> block0_{sent_[0].begin(), sent_[0].end()};
+  std::vector<fec::GfElem> block1_{sent_[1].begin(), sent_[1].end()};
+  std::optional<ControlFields> own_;
+
+  const ControlFields* Receive() {
+    return ReceivedControlFields(sent_, sent_parsed_, block0_, block1_, own_);
+  }
+};
+
+TEST_F(ReceivedControlFieldsTest, ByteEqualReceiverSharesTheSentParse) {
+  EXPECT_EQ(Receive(), &sent_parsed_);
+  EXPECT_FALSE(own_.has_value());
+}
+
+TEST_F(ReceivedControlFieldsTest, OneByteDifferenceParsesTheReceiversOwnBytes) {
+  // A miscorrected decode: one byte of block 0 differs (the cycle counter).
+  block0_[0] ^= 0x01;
+  const ControlFields* got = Receive();
+  ASSERT_NE(got, nullptr);
+  EXPECT_NE(got, &sent_parsed_);
+  EXPECT_EQ(got, &*own_);
+  EXPECT_EQ(*got, *ParseControlFields(block0_, block1_));
+  EXPECT_NE(got->cycle, sent_parsed_.cycle);
+}
+
+TEST_F(ReceivedControlFieldsTest, DifferenceInBlockOneIsSeenToo) {
+  block1_[0] ^= 0x80;  // first bit of block 1: reverse_acks[7]
+  const ControlFields* got = Receive();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got, &*own_);
+  EXPECT_NE(got->reverse_acks, sent_parsed_.reverse_acks);
+}
+
+TEST_F(ReceivedControlFieldsTest, ReservedBitDifferenceStillParsesOwnBytes) {
+  // The last byte holds only reserved bits: the struct would compare equal,
+  // but the decision is byte equality, so the receiver parses its own.
+  block1_.back() ^= 0xFF;
+  const ControlFields* got = Receive();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got, &*own_);
+  EXPECT_EQ(*got, sent_parsed_);
+}
+
+TEST_F(ReceivedControlFieldsTest, MalformedOrShortBytesYieldNothing) {
+  block1_.pop_back();
+  EXPECT_EQ(Receive(), nullptr);
+  block1_.assign(sent_[1].begin(), sent_[1].end());
+  // grant_count sits at bits 410..411 (byte 51 = block 1 byte 3, bits 2..3):
+  // the value 3 exceeds kMaxRegistrationGrants.
+  block1_[3] |= 0x30;
+  EXPECT_EQ(Receive(), nullptr);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@ class SubscriberTest : public ::testing::Test {
   MacConfig config_;
   Tick cycle_start_ = 0;
   std::uint16_t cycle_ = 0;
+  std::vector<PlannedBurst> burst_list_;
 
   MobileSubscriber MakeSubscriber(bool gps = false) {
     return MobileSubscriber(0, 0x1234, gps, config_, Rng(7));
@@ -21,9 +22,10 @@ class SubscriberTest : public ::testing::Test {
   std::vector<PlannedBurst> Deliver(MobileSubscriber& sub, ControlFields cf) {
     cf.cycle = cycle_;
     sub.OnCycleStart(cycle_++, cycle_start_);
-    const auto bursts = sub.OnControlFields(cf, cycle_start_);
+    // One list for every delivery, as the Cell reuses it across receivers.
+    const auto bursts = sub.OnControlFields(cf, cycle_start_, burst_list_);
     cycle_start_ += kCycleTicks;
-    return bursts;
+    return {bursts.begin(), bursts.end()};
   }
 
   void Miss(MobileSubscriber& sub) {
