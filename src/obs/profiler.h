@@ -38,6 +38,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -55,7 +56,10 @@ struct ZoneNode {
   ZoneNode* parent = nullptr;  ///< not owned; null at the root
   // std::map, not unordered: exports iterate children and their order
   // reaches artifacts (rule ordered-iteration, tools/osumac_lint).
-  std::map<std::string, std::unique_ptr<ZoneNode>> children;
+  // std::less<> lets EnterZone look a `const char*` name up without
+  // building a std::string (a heap allocation for names past the SSO
+  // length, such as "cell.slot.forward") on every zone entry.
+  std::map<std::string, std::unique_ptr<ZoneNode>, std::less<>> children;
 
   /// Inclusive time minus the children's inclusive time, clamped at 0.
   std::int64_t self_ns() const;
