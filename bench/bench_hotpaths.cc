@@ -8,8 +8,9 @@
 //                              syndrome-first fast path
 //   hotpath_rs_decode_corrupt  decode with 4 symbol errors — the full
 //                              Berlekamp-Massey / Chien / Forney pipeline
-//   hotpath_channel_uniform    UniformErrorModel per-symbol Bernoulli loop
-//   hotpath_channel_fast       FastUniformErrorModel geometric skip-sampling
+//   hotpath_channel_uniform    per-symbol Bernoulli loop (the reference
+//                              model in tests/per_symbol_channel.h)
+//   hotpath_channel_fast       UniformErrorModel geometric skip-sampling
 //   hotpath_cycle_untraced     a short scenario run with no trace attached
 //   hotpath_cycle_traced       the same scenario with an EventTrace attached
 //   hotpath_cycle_profiled     the same scenario with an obs::Profiler
@@ -40,6 +41,7 @@
 #include "obs/event_trace.h"
 #include "obs/profiler.h"
 #include "obs/wallclock.h"
+#include "per_symbol_channel.h"
 #include "phy/channel.h"
 #include "phy/error_model.h"
 
@@ -101,21 +103,19 @@ void BenchChannelPhases(obs::WallTimerRegistry& wall, int reps) {
   std::vector<GfElem> buf(cw.size());
   for (int r = 0; r < reps; ++r) {
     {
-      phy::UniformErrorModel slow(kErrProb);
-      Rng rng(31);
+      oracle::PerSymbolUniformModel slow(kErrProb, 31);
       obs::ScopedWallTimer t(wall, "hotpath_channel_uniform");
       for (int i = 0; i < kWords; ++i) {
         buf = cw;
-        slow.Corrupt(buf, rng);
+        slow.Corrupt(buf);
       }
     }
     {
-      phy::FastUniformErrorModel fast(kErrProb, 31);
-      Rng rng(31);  // unused by the fast model; same call shape
+      phy::UniformErrorModel fast(kErrProb, 31);
       obs::ScopedWallTimer t(wall, "hotpath_channel_fast");
       for (int i = 0; i < kWords; ++i) {
         buf = cw;
-        fast.Corrupt(buf, rng);
+        fast.Corrupt(buf);
       }
     }
   }

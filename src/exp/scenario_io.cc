@@ -117,7 +117,6 @@ bool ApplyScenarioKey(ScenarioSpec& spec, const std::string& key,
   if (key == "erasure_side_information") {
     return set_bool(&spec.erasure_side_information);
   }
-  if (key == "fast_channel") return set_bool(&spec.fast_channel);
   if (key == "seed") {
     char* end = nullptr;
     spec.seed = std::strtoull(value.c_str(), &end, 10);

@@ -14,7 +14,7 @@
 namespace osumac::exp {
 
 // The SplitMix64 primitives historically lived here; they moved to
-// common/rng.h so the phy fast-channel models can share them without an
+// common/rng.h so the phy channel models can share them without an
 // exp dependency.  These aliases keep the exp:: spellings (and the exact
 // derivation math the goldens pin) working.
 using osumac::kSplitMix64Gamma;
@@ -22,7 +22,7 @@ using osumac::SplitMix64;
 
 /// Independent random streams consumed by one scenario run.
 enum class SeedStream : std::uint64_t {
-  kCell = 0,      ///< the Cell's internal RNG (channels, backoff, phases)
+  kCell = 0,      ///< the Cell's internal RNG (channel seeds, backoff, phases)
   kUplink = 1,    ///< Poisson uplink workload
   kDownlink = 2,  ///< Poisson downlink workload
   kChurn = 3,     ///< churn arrival gaps

@@ -384,8 +384,8 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
   // cycle-start tick, so the perturbation provably cannot touch it.  The
   // injected stream is node 0's: subscriber RNGs drive backoff and
   // contention-slot picks every cycle, so the burn surfaces in the slot
-  // grid regardless of the channel model (the substrate rng_ sits idle
-  // under the default fast-sampling channels, which keep private streams).
+  // grid regardless of the channel model (the error models keep private
+  // streams, so the substrate rng_ only draws when a node is added).
   sim_.ScheduleAt(cycle * kCycleTicks + 1, [this] {
     (void)rng_.Next();
     if (!subscribers_.empty()) subscribers_.front()->PerturbRng();
@@ -447,7 +447,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
     // Each mobile sees its own downlink path.
     int corrected = 0;
     const ControlFields* parsed = nullptr;
-    if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node), rng_,
+    if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node),
                               channel_scratch_, cf_decoded_, &corrected,
                               config_.erasure_side_information)) {
       parsed = ReceivedControlFields(blocks, *sent, cf_decoded_[0], cf_decoded_[1], own);
@@ -666,7 +666,7 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
   data_code_.EncodeInto(fwd_info_, fwd_codewords_[0]);
   std::optional<ForwardDataPacket> parsed;
   if (phy::ApplyChannelInto(fwd_codewords_, data_code_,
-                            ForwardModelFor(dest->node_index()), rng_, channel_scratch_,
+                            ForwardModelFor(dest->node_index()), channel_scratch_,
                             fwd_decoded_, nullptr, config_.erasure_side_information)) {
     parsed = ParseForwardDataPacket(fwd_decoded_.front());
   }

@@ -306,7 +306,7 @@ void PolicyCell::ResolveSlot(const PolicySlotPlan& s, Interval abs) {
     Carrier(s.carrier).ResolveSlotPerSenderInto(
         abs, code,
         [this](int sender) -> phy::SymbolErrorModel& { return ReverseModelFor(sender); },
-        rng_, channel_scratch_, slot_reception_, config_.erasure_side_information);
+        channel_scratch_, slot_reception_, config_.erasure_side_information);
     reception = &slot_reception_;
   }
 

@@ -50,16 +50,10 @@ struct ChannelModelConfig {
   Kind kind = Kind::kPerfect;
   double symbol_error_prob = 0.0;            ///< for kUniform
   phy::GilbertElliottModel::Params ge{};     ///< for kGilbertElliott
-  /// Use the geometric skip-sampling model variants (phy::Fast*).  They
-  /// consume their own SplitMix64 stream seeded with `fast_seed`, so the
-  /// shared simulation Rng's draw order is untouched — but the error
-  /// process itself differs draw-for-draw, so fast runs are goldened
-  /// separately (exp::ScenarioSpec::fast_channel).
-  bool fast_sampling = false;
 
-  /// `fast_seed` seeds the private stream of a fast model; ignored unless
-  /// fast_sampling is set and the kind actually draws randomness.
-  std::unique_ptr<phy::SymbolErrorModel> Make(std::uint64_t fast_seed = 0) const;
+  /// `seed` seeds the lossy models' private SplitMix64 stream, so the
+  /// shared simulation Rng's draw order never depends on the channel.
+  std::unique_ptr<phy::SymbolErrorModel> Make(std::uint64_t seed) const;
 };
 
 struct CellConfig {
@@ -107,8 +101,8 @@ class CellSubstrate {
  protected:
   ~CellSubstrate() = default;
 
-  /// Appends the forward/reverse error models for node `node`.  Fast models
-  /// get per-node, per-direction seeds for their private SplitMix64
+  /// Appends the forward/reverse error models for node `node`.  Lossy
+  /// models get per-node, per-direction seeds for their private SplitMix64
   /// streams; the +100 offset keeps them clear of the exp::SeedStream
   /// derivations (which use small multipliers of the same gamma).
   void AddNodeChannels(int node);
@@ -134,10 +128,10 @@ class CellSubstrate {
   /// byte ledger every driver must feed).
   void RecordUplinkDelivery(UserId src, std::int64_t payload_bytes);
 
-  /// Journal hash of the SLO monitor (bucket counts, miss counters) — the
-  /// `slo` component shared by both drivers.  Allocation-free and
-  /// clock-free, like every journal hash hook (`journal-hook-discipline`
-  /// lint rule).
+  /// Journal hash of the SLO monitor (miss counters, sample count and max,
+  /// occupied buckets as (index, count) pairs) — the `slo` component shared
+  /// by both drivers.  Allocation-free and clock-free, like every journal
+  /// hash hook (`journal-hook-discipline` lint rule).
   std::uint64_t JournalHashSlo() const;
 
   /// Journal hash of the substrate's always-on aggregates (CellMetrics

@@ -8,7 +8,7 @@
 namespace osumac::phy {
 
 bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+                      const fec::ReedSolomon& code, SymbolErrorModel& model,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
                       int* errors_corrected_out, bool use_erasure_side_info) {
@@ -16,14 +16,10 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
   for (std::size_t w = 0; w < codewords.size(); ++w) {
     const auto& cw = codewords[w];
     scratch.noisy.assign(cw.begin(), cw.end());
-    int hits = 0;
-    if (use_erasure_side_info) {
-      scratch.erasures.clear();
-      hits = model.CorruptWithSideInfo(scratch.noisy, rng, &scratch.erasures);
-    } else {
-      scratch.erasures.clear();
-      hits = model.Corrupt(scratch.noisy, rng);
-    }
+    scratch.erasures.clear();
+    const int hits = use_erasure_side_info
+                         ? model.CorruptWithSideInfo(scratch.noisy, &scratch.erasures)
+                         : model.Corrupt(scratch.noisy);
     if (hits == 0 && scratch.erasures.empty()) {
       // Untouched word: it is the codeword we put on the air, so decoding
       // can only succeed with zero corrections.  Skip the decoder (and
@@ -56,11 +52,11 @@ bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
 
 std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
     const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+    const fec::ReedSolomon& code, SymbolErrorModel& model,
     int* errors_corrected_out, bool use_erasure_side_info) {
   ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ApplyChannelInto)
   std::vector<std::vector<fec::GfElem>> decoded;  // lint: allow-hot-alloc
-  if (!ApplyChannelInto(codewords, code, model, rng, scratch, decoded,
+  if (!ApplyChannelInto(codewords, code, model, scratch, decoded,
                         errors_corrected_out, use_erasure_side_info)) {
     return std::nullopt;
   }
@@ -89,27 +85,27 @@ std::vector<CodedBurst> ReverseChannel::Collect(Interval slot) {
 }
 
 SlotReception ReverseChannel::ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                                          SymbolErrorModel& model, Rng& rng,
+                                          SymbolErrorModel& model,
                                           bool use_erasure_side_info) {
   return ResolveSlotPerSender(
-      slot, code, [&model](int) -> SymbolErrorModel& { return model; }, rng,
+      slot, code, [&model](int) -> SymbolErrorModel& { return model; },
       use_erasure_side_info);
 }
 
 SlotReception ReverseChannel::ResolveSlotPerSender(
     Interval slot, const fec::ReedSolomon& code,
-    const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
+    const std::function<SymbolErrorModel&(int sender)>& model_for,
     bool use_erasure_side_info) {
   ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ResolveSlotPerSenderInto)
   SlotReception reception;
-  ResolveSlotPerSenderInto(slot, code, model_for, rng, scratch, reception,
+  ResolveSlotPerSenderInto(slot, code, model_for, scratch, reception,
                            use_erasure_side_info);
   return reception;
 }
 
 void ReverseChannel::ResolveSlotPerSenderInto(
     Interval slot, const fec::ReedSolomon& code,
-    const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
+    const std::function<SymbolErrorModel&(int sender)>& model_for,
     ChannelScratch& scratch, SlotReception& out, bool use_erasure_side_info) {
   OSUMAC_PROFILE_ZONE("phy.channel");
   CollectInto(slot, collected_);
@@ -133,7 +129,7 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   out.sender = burst.sender;
   out.tag = burst.tag;
   int corrected = 0;
-  if (!ApplyChannelInto(burst.codewords, code, model_for(burst.sender), rng, scratch,
+  if (!ApplyChannelInto(burst.codewords, code, model_for(burst.sender), scratch,
                         out.info, &corrected, use_erasure_side_info)) {
     out.outcome = SlotOutcome::kDecodeFailure;
     out.info.clear();  // partially decoded blocks are meaningless

@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time.h"
 #include "fec/reed_solomon.h"
 #include "phy/error_model.h"
@@ -71,7 +70,7 @@ struct ChannelScratch {
 /// the correctable burst length; cf. the paper's reference [2]).
 std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
     const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+    const fec::ReedSolomon& code, SymbolErrorModel& model,
     int* errors_corrected_out = nullptr, bool use_erasure_side_info = false);
 
 /// Allocation-reusing core of ApplyChannel.  Writes the decoded info blocks
@@ -82,7 +81,7 @@ std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
 /// erasure flags) is already a valid codeword, so the RS decoder is skipped
 /// outright — by far the dominant case at paper error rates.
 bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model, Rng& rng,
+                      const fec::ReedSolomon& code, SymbolErrorModel& model,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
                       int* errors_corrected_out = nullptr,
@@ -98,14 +97,14 @@ class ReverseChannel {
   /// classifies the slot: idle, collision (>= 2 mutually overlapping
   /// bursts), or a single burst to be decoded with `code` through `model`.
   SlotReception ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                            SymbolErrorModel& model, Rng& rng,
+                            SymbolErrorModel& model,
                             bool use_erasure_side_info = false);
 
   /// Like ResolveSlot but the caller supplies a per-sender error model via
   /// callback (different mobiles see different uplink paths).
   SlotReception ResolveSlotPerSender(
       Interval slot, const fec::ReedSolomon& code,
-      const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
+      const std::function<SymbolErrorModel&(int sender)>& model_for,
       bool use_erasure_side_info = false);
 
   /// Allocation-reusing ResolveSlotPerSender: resolves into `out`, reusing
@@ -113,7 +112,7 @@ class ReverseChannel {
   /// slots).  Same classification and decode semantics.
   void ResolveSlotPerSenderInto(
       Interval slot, const fec::ReedSolomon& code,
-      const std::function<SymbolErrorModel&(int sender)>& model_for, Rng& rng,
+      const std::function<SymbolErrorModel&(int sender)>& model_for,
       ChannelScratch& scratch, SlotReception& out,
       bool use_erasure_side_info = false);
 

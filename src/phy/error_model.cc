@@ -1,5 +1,6 @@
 #include "phy/error_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -8,15 +9,10 @@
 namespace osumac::phy {
 
 namespace {
-/// Replaces one byte with a uniformly random *different* value.
-void FlipByte(fec::GfElem& b, Rng& rng) {
-  const auto delta = static_cast<fec::GfElem>(rng.UniformInt(1, 255));
-  b = static_cast<fec::GfElem>(b ^ delta);
-}
-
-/// FlipByte for the fast models' private stream (modulo bias across 2^64
-/// draws is ~2^-56 — far below anything the sweeps can resolve).
-void FlipByteFast(fec::GfElem& b, SplitMix64Rng& stream) {
+/// Replaces one byte with a uniformly random *different* value (modulo
+/// bias across 2^64 draws is ~2^-56 — far below anything the sweeps can
+/// resolve).
+void FlipByte(fec::GfElem& b, SplitMix64Rng& stream) {
   const auto delta = static_cast<fec::GfElem>(1 + stream.Next() % 255);
   b = static_cast<fec::GfElem>(b ^ delta);
 }
@@ -32,50 +28,7 @@ std::uint64_t GeometricGap(SplitMix64Rng& stream, double inv_log_q) {
 }
 }  // namespace
 
-UniformErrorModel::UniformErrorModel(double symbol_error_prob) : p_(symbol_error_prob) {
-  OSUMAC_CHECK(p_ >= 0.0 && p_ <= 1.0);
-}
-
-int UniformErrorModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  int hits = 0;
-  for (fec::GfElem& b : codeword) {
-    if (rng.Bernoulli(p_)) {
-      FlipByte(b, rng);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-GilbertElliottModel::GilbertElliottModel(const Params& params) : params_(params) {
-  OSUMAC_CHECK(params_.p_good_to_bad >= 0 && params_.p_good_to_bad <= 1);
-  OSUMAC_CHECK(params_.p_bad_to_good >= 0 && params_.p_bad_to_good <= 1);
-}
-
-int GilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  return CorruptWithSideInfo(codeword, rng, nullptr);
-}
-
-int GilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
-                                             std::vector<int>* erasures) {
-  int hits = 0;
-  for (std::size_t i = 0; i < codeword.size(); ++i) {
-    if (bad_) {
-      if (rng.Bernoulli(params_.p_bad_to_good)) bad_ = false;
-    } else {
-      if (rng.Bernoulli(params_.p_good_to_bad)) bad_ = true;
-    }
-    if (bad_ && erasures != nullptr) erasures->push_back(static_cast<int>(i));
-    const double p = bad_ ? params_.error_prob_bad : params_.error_prob_good;
-    if (rng.Bernoulli(p)) {
-      FlipByte(codeword[i], rng);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-FastUniformErrorModel::FastUniformErrorModel(double symbol_error_prob, std::uint64_t seed)
+UniformErrorModel::UniformErrorModel(double symbol_error_prob, std::uint64_t seed)
     : p_(symbol_error_prob), stream_(seed) {
   OSUMAC_CHECK(p_ >= 0.0 && p_ <= 1.0);
   if (p_ > 0.0 && p_ < 1.0) {
@@ -84,17 +37,16 @@ FastUniformErrorModel::FastUniformErrorModel(double symbol_error_prob, std::uint
   }
 }
 
-int FastUniformErrorModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  (void)rng;  // fast models never touch the shared simulation stream
+int UniformErrorModel::Corrupt(std::span<fec::GfElem> codeword) {
   if (p_ <= 0.0) return 0;
   if (p_ >= 1.0) {
-    for (fec::GfElem& b : codeword) FlipByteFast(b, stream_);
+    for (fec::GfElem& b : codeword) FlipByte(b, stream_);
     return static_cast<int>(codeword.size());
   }
   int hits = 0;
   std::uint64_t i = skip_;
   while (i < codeword.size()) {
-    FlipByteFast(codeword[i], stream_);
+    FlipByte(codeword[i], stream_);
     ++hits;
     i += 1 + GeometricGap(stream_, inv_log_q_);
   }
@@ -102,8 +54,7 @@ int FastUniformErrorModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
   return hits;
 }
 
-FastGilbertElliottModel::FastGilbertElliottModel(const GilbertElliottModel::Params& params,
-                                                 std::uint64_t seed)
+GilbertElliottModel::GilbertElliottModel(const Params& params, std::uint64_t seed)
     : params_(params), stream_(seed) {
   OSUMAC_CHECK(params_.p_good_to_bad >= 0 && params_.p_good_to_bad <= 1);
   OSUMAC_CHECK(params_.p_bad_to_good >= 0 && params_.p_bad_to_good <= 1);
@@ -111,27 +62,26 @@ FastGilbertElliottModel::FastGilbertElliottModel(const GilbertElliottModel::Para
   good_err_skip_ = Gap(params_.error_prob_good);
 }
 
-std::uint64_t FastGilbertElliottModel::Gap(double p) {
+std::uint64_t GilbertElliottModel::Gap(double p) {
   if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
   if (p >= 1.0) return 0;
   return GeometricGap(stream_, 1.0 / std::log1p(-p));
 }
 
-int FastGilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword, Rng& rng) {
-  return CorruptWithSideInfo(codeword, rng, nullptr);
+int GilbertElliottModel::Corrupt(std::span<fec::GfElem> codeword) {
+  return CorruptWithSideInfo(codeword, nullptr);
 }
 
-int FastGilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword, Rng& rng,
-                                                 std::vector<int>* erasures) {
-  (void)rng;
+int GilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword,
+                                             std::vector<int>* erasures) {
   int hits = 0;
   std::uint64_t i = 0;
   const std::uint64_t n = codeword.size();
   while (i < n) {
     if (!bad_) {
-      // Skip ahead to whichever Good-state event lands first.  A fade
-      // start at the same symbol as an error wins, mirroring the slow
-      // model's transition-before-error ordering.
+      // Skip ahead to whichever Good-state event lands first.  Both skips
+      // count symbols from i.  A fade start at the same symbol as an error
+      // wins, mirroring the per-symbol transition-before-error ordering.
       const std::uint64_t next = std::min(good_trans_skip_, good_err_skip_);
       if (next >= n - i) {
         const std::uint64_t consumed = n - i;
@@ -146,46 +96,32 @@ int FastGilbertElliottModel::CorruptWithSideInfo(std::span<fec::GfElem> codeword
         bad_ = true;  // symbol i is the first faded symbol
         continue;
       }
-      FlipByteFast(codeword[i], stream_);
+      FlipByte(codeword[i], stream_);
       ++hits;
       ++i;
+      --good_trans_skip_;  // symbol i was a Good symbol too
       good_err_skip_ = Gap(params_.error_prob_good);  // gap from the next symbol
     } else {
       // Fade: walk per symbol — every one is erasure-flagged regardless of
       // corruption, so there is no skipping to be had.
       if (erasures != nullptr) erasures->push_back(static_cast<int>(i));
       if (stream_.NextOpenDouble() < params_.error_prob_bad) {
-        FlipByteFast(codeword[i], stream_);
+        FlipByte(codeword[i], stream_);
         ++hits;
       }
       ++i;
       if (stream_.NextOpenDouble() < params_.p_bad_to_good) {
+        // The recovering symbol is always Good (the per-symbol chain checks
+        // the transition before the symbol), so the next fade is at least
+        // one symbol away.
         bad_ = false;
-        good_trans_skip_ = Gap(params_.p_good_to_bad);
+        const std::uint64_t gap = Gap(params_.p_good_to_bad);
+        good_trans_skip_ = gap < std::numeric_limits<std::uint64_t>::max() ? gap + 1 : gap;
         good_err_skip_ = Gap(params_.error_prob_good);
       }
     }
   }
   return hits;
-}
-
-std::unique_ptr<SymbolErrorModel> MakePerfectChannel() {
-  return std::make_unique<PerfectChannel>();
-}
-std::unique_ptr<SymbolErrorModel> MakeUniformChannel(double symbol_error_prob) {
-  return std::make_unique<UniformErrorModel>(symbol_error_prob);
-}
-std::unique_ptr<SymbolErrorModel> MakeGilbertElliottChannel(
-    const GilbertElliottModel::Params& p) {
-  return std::make_unique<GilbertElliottModel>(p);
-}
-std::unique_ptr<SymbolErrorModel> MakeFastUniformChannel(double symbol_error_prob,
-                                                         std::uint64_t seed) {
-  return std::make_unique<FastUniformErrorModel>(symbol_error_prob, seed);
-}
-std::unique_ptr<SymbolErrorModel> MakeFastGilbertElliottChannel(
-    const GilbertElliottModel::Params& p, std::uint64_t seed) {
-  return std::make_unique<FastGilbertElliottModel>(p, seed);
 }
 
 }  // namespace osumac::phy

@@ -25,14 +25,13 @@ phy::GilbertElliottModel::Params HarshFades() {
 }
 
 TEST(ErasureSideInfoTest, GilbertElliottReportsFadedSymbols) {
-  Rng rng(401);
-  phy::GilbertElliottModel model(HarshFades());
+  phy::GilbertElliottModel model(HarshFades(), 401);
   int reported = 0;
   int corrupted = 0;
   for (int i = 0; i < 500; ++i) {
     std::vector<fec::GfElem> word(64, 0);
     std::vector<int> erasures;
-    corrupted += model.CorruptWithSideInfo(word, rng, &erasures);
+    corrupted += model.CorruptWithSideInfo(word, &erasures);
     reported += static_cast<int>(erasures.size());
     for (int pos : erasures) {
       ASSERT_GE(pos, 0);
@@ -50,14 +49,13 @@ TEST(ErasureSideInfoTest, SideInfoRoughlyDoublesBurstTolerance) {
   // far fewer codewords.
   const auto& rs = fec::ReedSolomon::Osu6448();
   auto run = [&](bool side_info) {
-    Rng rng(402);  // same noise realization per mode
-    phy::GilbertElliottModel model(HarshFades());
+    phy::GilbertElliottModel model(HarshFades(), 402);  // same noise realization per mode
     int failures = 0;
     const int words = 3000;
     for (int i = 0; i < words; ++i) {
       std::vector<fec::GfElem> data(48, static_cast<fec::GfElem>(i & 0xFF));
       const std::vector<std::vector<fec::GfElem>> cw = {rs.Encode(data)};
-      const auto decoded = phy::ApplyChannel(cw, rs, model, rng, nullptr, side_info);
+      const auto decoded = phy::ApplyChannel(cw, rs, model, nullptr, side_info);
       if (!decoded.has_value()) {
         ++failures;
       } else {
@@ -99,14 +97,12 @@ TEST(ErasureSideInfoTest, EndToEndGpsLossDrops) {
 TEST(ErasureSideInfoTest, NoEffectOnUniformChannels) {
   // The uniform model has no side information; both modes behave alike.
   const auto& rs = fec::ReedSolomon::Osu6448();
-  phy::UniformErrorModel model(0.05);
-  Rng rng1(404), rng2(404);
   std::vector<fec::GfElem> data(48, 0x5A);
   const std::vector<std::vector<fec::GfElem>> cw = {rs.Encode(data)};
-  phy::UniformErrorModel m1(0.05), m2(0.05);
+  phy::UniformErrorModel m1(0.05, 404), m2(0.05, 404);
   for (int i = 0; i < 200; ++i) {
-    const auto a = phy::ApplyChannel(cw, rs, m1, rng1, nullptr, false);
-    const auto b = phy::ApplyChannel(cw, rs, m2, rng2, nullptr, true);
+    const auto a = phy::ApplyChannel(cw, rs, m1, nullptr, false);
+    const auto b = phy::ApplyChannel(cw, rs, m2, nullptr, true);
     EXPECT_EQ(a.has_value(), b.has_value());
   }
 }

@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Command-line boundary of make_figures: --help prints the usage and exits
+0, and an unknown flag is rejected with a non-zero exit and a message
+naming it.  Neither may start the pipeline, so each case runs in an empty
+directory and must leave it empty (the default output dir is ./results).
+
+Run via ctest, or:  python3 tests/make_figures_cli_test.py build/tools/make_figures
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+BINARY = ""
+
+
+def run(*args: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([BINARY, *args], cwd=cwd, capture_output=True,
+                              text=True, timeout=60)
+        return proc, os.listdir(cwd)
+
+
+class MakeFiguresCliTest(unittest.TestCase):
+    def test_help_prints_usage_and_exits_zero(self) -> None:
+        for flag in ("--help", "-h"):
+            proc, left = run(flag)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            self.assertIn("usage: make_figures", proc.stdout)
+            self.assertIn("--mac-matrix", proc.stdout)
+            self.assertEqual(left, [], "--help must not run the pipeline")
+
+    def test_unknown_flag_is_rejected_by_name(self) -> None:
+        for args in (["--bogus-flag"], ["out", "--jobs", "1", "--figures"],
+                     ["out", "extra_positional"], ["--jobs"]):
+            proc, left = run(*args)
+            self.assertNotEqual(proc.returncode, 0, args)
+            self.assertIn(args[-1], proc.stderr, args)
+            self.assertIn("usage: make_figures", proc.stderr)
+            self.assertEqual(left, [], f"{args} must not run the pipeline")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: make_figures_cli_test.py PATH_TO_MAKE_FIGURES")
+    BINARY = os.path.abspath(sys.argv.pop(1))
+    unittest.main()

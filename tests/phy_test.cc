@@ -55,31 +55,28 @@ TEST(PhyParamsTest, LinkRates) {
 // --- error models --------------------------------------------------------------
 
 TEST(ErrorModelTest, PerfectChannelNeverCorrupts) {
-  Rng rng(1);
   PerfectChannel model;
   std::vector<fec::GfElem> word(64, 0xAB);
-  EXPECT_EQ(model.Corrupt(word, rng), 0);
+  EXPECT_EQ(model.Corrupt(word), 0);
   EXPECT_TRUE(std::all_of(word.begin(), word.end(), [](auto b) { return b == 0xAB; }));
 }
 
 TEST(ErrorModelTest, UniformModelHitsAtConfiguredRate) {
-  Rng rng(2);
-  UniformErrorModel model(0.05);
+  UniformErrorModel model(0.05, 2);
   int hits = 0;
   const int words = 2000;
   for (int i = 0; i < words; ++i) {
     std::vector<fec::GfElem> word(64, 0);
-    hits += model.Corrupt(word, rng);
+    hits += model.Corrupt(word);
   }
   const double rate = static_cast<double>(hits) / (words * 64.0);
   EXPECT_NEAR(rate, 0.05, 0.005);
 }
 
 TEST(ErrorModelTest, CorruptedByteAlwaysDiffers) {
-  Rng rng(3);
-  UniformErrorModel model(1.0);
+  UniformErrorModel model(1.0, 3);
   std::vector<fec::GfElem> word(64, 0x5A);
-  EXPECT_EQ(model.Corrupt(word, rng), 64);
+  EXPECT_EQ(model.Corrupt(word), 64);
   for (auto b : word) EXPECT_NE(b, 0x5A);
 }
 
@@ -87,19 +84,18 @@ TEST(ErrorModelTest, GilbertElliottProducesBurstRegimes) {
   // The paper's field observation: either few errors (correctable) or many
   // (decoder failure).  With a bursty channel the per-codeword error count
   // distribution must be bimodal: mostly <= t, occasionally >> t.
-  Rng rng(4);
   GilbertElliottModel::Params p;
   p.p_good_to_bad = 0.002;
   p.p_bad_to_good = 0.05;
   p.error_prob_good = 1e-4;
   p.error_prob_bad = 0.5;
-  GilbertElliottModel model(p);
+  GilbertElliottModel model(p, 4);
   int clean_or_light = 0;
   int heavy = 0;
   const int words = 5000;
   for (int i = 0; i < words; ++i) {
     std::vector<fec::GfElem> word(64, 0);
-    const int hits = model.Corrupt(word, rng);
+    const int hits = model.Corrupt(word);
     if (hits <= 8) ++clean_or_light;
     if (hits > 12) ++heavy;
   }
@@ -112,13 +108,13 @@ TEST(ErrorModelTest, TwoRegimeDecodeBehaviourThroughRsCodec) {
   // silent corruption must never reach the caller.
   Rng rng(5);
   const auto& rs = fec::ReedSolomon::Osu6448();
-  GilbertElliottModel model(GilbertElliottModel::Params{});
+  GilbertElliottModel model(GilbertElliottModel::Params{}, 5);
   int corrected = 0, failed = 0, wrong = 0;
   for (int i = 0; i < 3000; ++i) {
     std::vector<fec::GfElem> data(48);
     for (auto& b : data) b = static_cast<fec::GfElem>(rng.UniformInt(0, 255));
     auto cw = rs.Encode(data);
-    model.Corrupt(cw, rng);
+    model.Corrupt(cw);
     const auto result = rs.Decode(cw);
     if (!result.has_value()) {
       ++failed;
@@ -184,8 +180,7 @@ CodedBurst MakeBurst(Interval when, int sender, const fec::ReedSolomon& rs, Rng&
 TEST(ReverseChannelTest, IdleSlot) {
   ReverseChannel ch;
   PerfectChannel model;
-  Rng rng(6);
-  const auto r = ch.ResolveSlot({0, 100}, fec::ReedSolomon::Osu6448(), model, rng);
+  const auto r = ch.ResolveSlot({0, 100}, fec::ReedSolomon::Osu6448(), model);
   EXPECT_EQ(r.outcome, SlotOutcome::kIdle);
 }
 
@@ -195,7 +190,7 @@ TEST(ReverseChannelTest, SingleBurstDecodes) {
   Rng rng(7);
   const auto& rs = fec::ReedSolomon::Osu6448();
   ch.Transmit(MakeBurst({0, 100}, 3, rs, rng));
-  const auto r = ch.ResolveSlot({0, 100}, rs, model, rng);
+  const auto r = ch.ResolveSlot({0, 100}, rs, model);
   EXPECT_EQ(r.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r.sender, 3);
   ASSERT_EQ(r.info.size(), 1u);
@@ -209,7 +204,7 @@ TEST(ReverseChannelTest, OverlappingBurstsCollide) {
   const auto& rs = fec::ReedSolomon::Osu6448();
   ch.Transmit(MakeBurst({0, 100}, 1, rs, rng));
   ch.Transmit(MakeBurst({50, 150}, 2, rs, rng));
-  const auto r = ch.ResolveSlot({0, 150}, rs, model, rng);
+  const auto r = ch.ResolveSlot({0, 150}, rs, model);
   EXPECT_EQ(r.outcome, SlotOutcome::kCollision);
   EXPECT_EQ(r.colliders, (std::vector<int>{1, 2}));
 }
@@ -221,11 +216,11 @@ TEST(ReverseChannelTest, DisjointSlotsResolveIndependently) {
   const auto& rs = fec::ReedSolomon::Osu6448();
   ch.Transmit(MakeBurst({0, 100}, 1, rs, rng));
   ch.Transmit(MakeBurst({200, 300}, 2, rs, rng));
-  const auto r1 = ch.ResolveSlot({0, 100}, rs, model, rng);
+  const auto r1 = ch.ResolveSlot({0, 100}, rs, model);
   EXPECT_EQ(r1.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r1.sender, 1);
   EXPECT_EQ(ch.pending_bursts(), 1u);
-  const auto r2 = ch.ResolveSlot({200, 300}, rs, model, rng);
+  const auto r2 = ch.ResolveSlot({200, 300}, rs, model);
   EXPECT_EQ(r2.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r2.sender, 2);
   EXPECT_EQ(ch.pending_bursts(), 0u);
@@ -233,13 +228,13 @@ TEST(ReverseChannelTest, DisjointSlotsResolveIndependently) {
 
 TEST(ReverseChannelTest, HeavyNoiseYieldsDecodeFailureNotCorruption) {
   ReverseChannel ch;
-  UniformErrorModel model(0.5);  // way beyond t = 8 correctable symbols
+  UniformErrorModel model(0.5, 10);  // way beyond t = 8 correctable symbols
   Rng rng(10);
   const auto& rs = fec::ReedSolomon::Osu6448();
   int failures = 0;
   for (int i = 0; i < 50; ++i) {
     ch.Transmit(MakeBurst({i * 100, i * 100 + 50}, 1, rs, rng));
-    const auto r = ch.ResolveSlot({i * 100, i * 100 + 50}, rs, model, rng);
+    const auto r = ch.ResolveSlot({i * 100, i * 100 + 50}, rs, model);
     if (r.outcome == SlotOutcome::kDecodeFailure) ++failures;
   }
   EXPECT_GE(failures, 48) << "overwhelmed decoder must fail, not lie";
@@ -250,16 +245,16 @@ TEST(ReverseChannelTest, PerSenderModels) {
   Rng rng(11);
   const auto& rs = fec::ReedSolomon::Osu6448();
   PerfectChannel good;
-  UniformErrorModel bad(0.9);
+  UniformErrorModel bad(0.9, 11);
   ch.Transmit(MakeBurst({0, 100}, 0, rs, rng));
   ch.Transmit(MakeBurst({200, 300}, 1, rs, rng));
   auto model_for = [&](int sender) -> SymbolErrorModel& {
     return sender == 0 ? static_cast<SymbolErrorModel&>(good)
                        : static_cast<SymbolErrorModel&>(bad);
   };
-  EXPECT_EQ(ch.ResolveSlotPerSender({0, 100}, rs, model_for, rng).outcome,
+  EXPECT_EQ(ch.ResolveSlotPerSender({0, 100}, rs, model_for).outcome,
             SlotOutcome::kDecoded);
-  EXPECT_EQ(ch.ResolveSlotPerSender({200, 300}, rs, model_for, rng).outcome,
+  EXPECT_EQ(ch.ResolveSlotPerSender({200, 300}, rs, model_for).outcome,
             SlotOutcome::kDecodeFailure);
 }
 

@@ -2,6 +2,9 @@
 //
 //   $ ./make_figures [output_dir] [--jobs N] [--mac-matrix] [--no-journal]
 //                                                (default: results/, serial)
+//   $ ./make_figures --help
+//
+// Any other argument is rejected (exit 1) before anything runs.
 //
 // Builds the full Section-5 spec list up front, executes it on the sweep
 // runner (bit-identical at any --jobs), and writes one CSV per figure
@@ -41,6 +44,14 @@ using namespace osumac;
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: make_figures [output_dir] [--jobs N] [--mac-matrix] [--no-journal]\n"
+    "  output_dir     where the CSVs and BENCH_*.json go (default: results)\n"
+    "  --jobs N, -j N sweep worker threads; 0 = all cores (default: 1)\n"
+    "  --mac-matrix   also run the head-to-head MAC comparison\n"
+    "  --no-journal   skip the journaled re-run of the figure sweep\n"
+    "  --help, -h     print this message and exit\n";
+
 std::ofstream Open(const std::filesystem::path& dir, const std::string& name) {
   std::ofstream out(dir / name);
   if (!out) {
@@ -53,16 +64,35 @@ std::ofstream Open(const std::filesystem::path& dir, const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("%s\n", osumac::obs::ProvenanceLine("make_figures", 0).c_str());
-  const std::filesystem::path dir =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "results";
-  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  std::filesystem::path dir = "results";
   bool mac_matrix = false;
   bool no_journal = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--mac-matrix") mac_matrix = true;
-    if (std::string(argv[i]) == "--no-journal") no_journal = true;
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", kUsage);
+      return 0;
+    }
+    if (arg == "--mac-matrix") {
+      mac_matrix = true;
+    } else if (arg == "--no-journal") {
+      no_journal = true;
+    } else if (arg == "--jobs" || arg == "-j") {
+      if (++i == argc) {
+        std::fprintf(stderr, "make_figures: %s needs a value\n%s", arg.c_str(), kUsage);
+        return 1;
+      }
+    } else if (arg.rfind("--jobs=", 0) == 0) {
+      // value read by exp::JobsFromArgs below
+    } else if (i == 1 && arg[0] != '-') {
+      dir = arg;
+    } else {
+      std::fprintf(stderr, "make_figures: unknown argument '%s'\n%s", arg.c_str(), kUsage);
+      return 1;
+    }
   }
+  const int jobs = exp::JobsFromArgs(argc, argv, 1);
+  std::printf("%s\n", osumac::obs::ProvenanceLine("make_figures", 0).c_str());
   std::filesystem::create_directories(dir);
   obs::WallTimerRegistry wall;
 
