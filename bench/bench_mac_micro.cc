@@ -60,8 +60,11 @@ void BM_ControlFieldParse(benchmark::State& state) {
 BENCHMARK(BM_ControlFieldParse);
 
 void BM_ControlFieldEncodeDecodeRs(benchmark::State& state) {
-  // The full control-field air path: serialize, RS-encode both codewords,
-  // decode, parse — what every subscriber does every cycle.
+  // The eager control-field air path: serialize, RS-encode both codewords,
+  // decode, parse.  The simulator pays this only for a set whose words the
+  // channel touched; a clean reception skips the encode and the decode
+  // (phy::ReceiveBlockInto), so this is the worst case per receiver, not
+  // the common one.
   const auto& rs = fec::ReedSolomon::Osu6448();
   ControlFields cf;
   for (auto _ : state) {

@@ -5,8 +5,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "exp/runner.h"
 #include "obs/provenance.h"
 
 namespace osumac::bench {
@@ -15,6 +18,17 @@ namespace osumac::bench {
 inline void PrintProvenance(const char* tool, std::uint64_t seed = 0,
                             const std::string& config = "") {
   std::printf("%s\n", obs::ProvenanceLine(tool, seed, config).c_str());
+}
+
+/// Worker count from --jobs/-j (exp::JobsFromArgs); a bad value is
+/// reported by flag name and exits with status 1 before anything runs.
+inline int JobsOrExit(int argc, char** argv, int fallback = 1) {
+  try {
+    return exp::JobsFromArgs(argc, argv, fallback);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench", e.what());
+    std::exit(1);
+  }
 }
 
 }  // namespace osumac::bench

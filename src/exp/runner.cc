@@ -1,8 +1,12 @@
 #include "exp/runner.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -337,13 +341,30 @@ RunResult RunScenario(const ScenarioSpec& spec, const RunHooks& hooks) {
 
 int ResolveJobs(int jobs) { return ResolveParallelism(jobs); }
 
+namespace {
+
+/// The value of a jobs flag: a whole decimal number in [0, INT_MAX].
+int ParseJobs(const char* flag, const char* value) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || v < 0 || v > INT_MAX) {
+    throw std::invalid_argument(std::string(flag) +
+                                " expects a non-negative integer (0 = all cores), got '" +
+                                value + "'");
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 int JobsFromArgs(int argc, char** argv, int fallback) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--jobs=", 7) == 0) return std::atoi(arg + 7);
+    if (std::strncmp(arg, "--jobs=", 7) == 0) return ParseJobs("--jobs", arg + 7);
     if ((std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) &&
         i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
+      return ParseJobs(arg, argv[i + 1]);
     }
   }
   return fallback;

@@ -177,7 +177,10 @@ class SweepRunner {
 int ResolveJobs(int jobs);
 
 /// Scans argv for "--jobs N" / "--jobs=N" / "-j N" and returns it (or
-/// `fallback`); the flag every migrated bench supports.
+/// `fallback`); the flag every migrated bench supports.  N must be a whole
+/// number >= 0 (0 = all cores); anything else (`abc`, `-2`, `1.5`, a value
+/// past INT_MAX) throws std::invalid_argument with a message naming the
+/// flag, which the command-line tools print before exiting with status 1.
 int JobsFromArgs(int argc, char** argv, int fallback = 0);
 
 /// Runs `fn(i)` for every i in [0, count) across `jobs` workers.

@@ -130,7 +130,7 @@ bool Cell::SendUplinkMessage(int node, int bytes) {
       coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
       coded.sender = node;
       EmitBurstTx(node, *burst, coded.on_air);
-      coded.codewords.push_back(data_code_.Encode(burst->info));
+      coded.blocks.push_back(std::move(burst->info));
       reverse_channel_.Transmit(std::move(coded));
     }
   }
@@ -152,7 +152,7 @@ bool Cell::SendSubscriberMessage(int src_node, Ein dest_ein, int bytes) {
       coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
       coded.sender = src_node;
       EmitBurstTx(src_node, *burst, coded.on_air);
-      coded.codewords.push_back(data_code_.Encode(burst->info));
+      coded.blocks.push_back(std::move(burst->info));
       reverse_channel_.Transmit(std::move(coded));
     }
   }
@@ -395,11 +395,6 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
 void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle_start) {
   OSUMAC_PROFILE_ZONE("cell.cf");
   const ControlFieldBlocks blocks = SerializeControlFields(cf);
-  cf_codewords_.resize(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    cf_codewords_[i].resize(static_cast<std::size_t>(data_code_.n()));
-    data_code_.EncodeInto(blocks[i], cf_codewords_[i]);
-  }
   // Parsed once per set: every receiver that decodes the sent bytes exactly
   // shares this struct (ReceivedControlFields).
   const std::optional<ControlFields> sent = ParseControlFields(blocks[0], blocks[1]);
@@ -444,12 +439,14 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
       continue;
     }
 
-    // Each mobile sees its own downlink path.
-    int corrected = 0;
+    // Each mobile sees its own downlink path (word 2 only if word 1 decoded).
+    phy::SymbolErrorModel& model = ForwardModelFor(node);
+    const bool side_info = config_.erasure_side_information;
     const ControlFields* parsed = nullptr;
-    if (phy::ApplyChannelInto(cf_codewords_, data_code_, ForwardModelFor(node),
-                              channel_scratch_, cf_decoded_, &corrected,
-                              config_.erasure_side_information)) {
+    if (phy::ReceiveBlockInto(blocks[0], data_code_, model, channel_scratch_,
+                              cf_decoded_[0], nullptr, side_info) &&
+        phy::ReceiveBlockInto(blocks[1], data_code_, model, channel_scratch_,
+                              cf_decoded_[1], nullptr, side_info)) {
       parsed = ReceivedControlFields(blocks, *sent, cf_decoded_[0], cf_decoded_[1], own);
     }
     if (parsed == nullptr) {
@@ -481,8 +478,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
       coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
       coded.sender = node;
       EmitBurstTx(node, b, coded.on_air);
-      coded.codewords.push_back(b.is_gps_slot ? gps_code_.Encode(b.info)
-                                              : data_code_.Encode(b.info));
+      coded.blocks.push_back(b.info);
       reverse_channel_.Transmit(std::move(coded));
     }
   }
@@ -660,15 +656,12 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
     return;
   }
 
-  fwd_codewords_.resize(1);
-  fwd_codewords_[0].resize(static_cast<std::size_t>(data_code_.n()));
   SerializeForwardDataPacket(*packet, fwd_info_);
-  data_code_.EncodeInto(fwd_info_, fwd_codewords_[0]);
   std::optional<ForwardDataPacket> parsed;
-  if (phy::ApplyChannelInto(fwd_codewords_, data_code_,
-                            ForwardModelFor(dest->node_index()), channel_scratch_,
-                            fwd_decoded_, nullptr, config_.erasure_side_information)) {
-    parsed = ParseForwardDataPacket(fwd_decoded_.front());
+  if (phy::ReceiveBlockInto(fwd_info_, data_code_, ForwardModelFor(dest->node_index()),
+                            channel_scratch_, fwd_decoded_, nullptr,
+                            config_.erasure_side_information)) {
+    parsed = ParseForwardDataPacket(fwd_decoded_);
   }
   if (!parsed.has_value()) {
     emit_loss(obs::kLossDecodeFailure);

@@ -260,14 +260,14 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         report.ein = static_cast<Ein>(1000 + node);
         report.timestamp = static_cast<std::uint8_t>(n & 0xFF);
         if (s.short_slot) {
-          coded.codewords.push_back(gps_code_.Encode(SerializeGpsPacket(report)));
+          coded.blocks.push_back(SerializeGpsPacket(report));
         } else {
           // A report granted a full data slot (RQMA) rides in a regular
           // packet; the driver's tag bookkeeping carries the semantics.
           DataPacket p;
           p.header.src = nd.uid;
           p.payload_bytes = 9;
-          coded.codewords.push_back(data_code_.Encode(SerializeDataPacket(p)));
+          coded.blocks.push_back(SerializeDataPacket(p));
         }
       } else if (s.use == PolicySlotUse::kAccessRequest) {
         rec.request = true;
@@ -275,7 +275,7 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         req.src = nd.uid;
         req.slots_requested = static_cast<std::uint8_t>(
             std::min<std::size_t>(31, nd.queue.size()));
-        coded.codewords.push_back(data_code_.Encode(SerializeReservationPacket(req)));
+        coded.blocks.push_back(SerializeReservationPacket(req));
       } else {
         const int idx = tx_cursor[static_cast<std::size_t>(node)]++;
         if (idx >= static_cast<int>(nd.queue.size())) continue;  // grant unused
@@ -287,7 +287,7 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         p.message_id = f.message_id;
         p.frag_count = f.frag_count;
         p.payload_bytes = f.payload_bytes;
-        coded.codewords.push_back(data_code_.Encode(SerializeDataPacket(p)));
+        coded.blocks.push_back(SerializeDataPacket(p));
       }
       coded.tag = next_tag_++;
       tx_records_.emplace(coded.tag, rec);

@@ -3,64 +3,65 @@
 #include <algorithm>
 #include <functional>
 
+#include "common/check.h"
 #include "obs/profiler.h"
 
 namespace osumac::phy {
 
-bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
+bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon& code,
+                      SymbolErrorModel& model, ChannelScratch& scratch,
+                      std::vector<fec::GfElem>& decoded, int* errors_corrected_out,
+                      bool use_erasure_side_info) {
+  OSUMAC_CHECK_EQ(static_cast<int>(block.size()), code.k());
+  scratch.noisy.assign(static_cast<std::size_t>(code.n()), 0);
+  scratch.erasures.clear();
+  const int hits = use_erasure_side_info
+                       ? model.CorruptWithSideInfo(scratch.noisy, &scratch.erasures)
+                       : model.Corrupt(scratch.noisy);
+  if (hits == 0 && scratch.erasures.empty()) {
+    // Untouched word: the codeword we put on the air, so decoding can only
+    // succeed with zero corrections.  Neither parity nor decoder is needed.
+    decoded.assign(block.begin(), block.end());
+    return true;
+  }
+  scratch.codeword.resize(scratch.noisy.size());
+  code.EncodeInto(block, scratch.codeword);
+  for (std::size_t i = 0; i < scratch.noisy.size(); ++i) {
+    scratch.noisy[i] ^= scratch.codeword[i];
+  }
+  // Filling f erasures leaves n-k-f budget for unknown errors (2e <=
+  // n-k-f).  Using all n-k flags would leave zero redundancy: ANY fill
+  // then forms a valid codeword and an unflagged error produces a
+  // *silently wrong* decode.  With one parity symbol spared (f <=
+  // n-k-1) the post-decode syndrome recheck still detects a bad fill,
+  // so long fades degrade into honest failures; beyond that the
+  // receiver falls back to errors-only decoding.
+  const std::size_t cap = static_cast<std::size_t>(code.n() - code.k() - 1);
+  const bool ok =
+      scratch.erasures.size() <= cap
+          ? code.DecodeWithErasuresInto(scratch.noisy, scratch.erasures, &scratch.decode)
+          : code.DecodeInto(scratch.noisy, &scratch.decode);
+  if (!ok) return false;
+  if (errors_corrected_out != nullptr) {
+    *errors_corrected_out += scratch.decode.errors_corrected;
+  }
+  decoded.assign(scratch.decode.data.begin(), scratch.decode.data.end());
+  return true;
+}
+
+bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& blocks,
                       const fec::ReedSolomon& code, SymbolErrorModel& model,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
                       int* errors_corrected_out, bool use_erasure_side_info) {
-  decoded.resize(codewords.size());
-  for (std::size_t w = 0; w < codewords.size(); ++w) {
-    const auto& cw = codewords[w];
-    scratch.noisy.assign(cw.begin(), cw.end());
-    scratch.erasures.clear();
-    const int hits = use_erasure_side_info
-                         ? model.CorruptWithSideInfo(scratch.noisy, &scratch.erasures)
-                         : model.Corrupt(scratch.noisy);
-    if (hits == 0 && scratch.erasures.empty()) {
-      // Untouched word: it is the codeword we put on the air, so decoding
-      // can only succeed with zero corrections.  Skip the decoder (and
-      // even its syndrome pass) and hand back the systematic prefix.
-      decoded[w].assign(cw.begin(), cw.begin() + code.k());
-      continue;
+  decoded.resize(blocks.size());
+  for (std::size_t w = 0; w < blocks.size(); ++w) {
+    if (!ReceiveBlockInto(blocks[w], code, model, scratch, decoded[w],
+                          errors_corrected_out, use_erasure_side_info)) {
+      return false;
     }
-    bool ok = false;
-    // Filling f erasures leaves n-k-f budget for unknown errors (2e <=
-    // n-k-f).  Using all n-k flags would leave zero redundancy: ANY fill
-    // then forms a valid codeword and an unflagged error produces a
-    // *silently wrong* decode.  With one parity symbol spared (f <=
-    // n-k-1) the post-decode syndrome recheck still detects a bad fill,
-    // so long fades degrade into honest failures; beyond that the
-    // receiver falls back to errors-only decoding.
-    const std::size_t cap = static_cast<std::size_t>(code.n() - code.k() - 1);
-    if (scratch.erasures.size() <= cap) {
-      ok = code.DecodeWithErasuresInto(scratch.noisy, scratch.erasures, &scratch.decode);
-    } else {
-      ok = code.DecodeInto(scratch.noisy, &scratch.decode);
-    }
-    if (!ok) return false;
-    if (errors_corrected_out != nullptr) {
-      *errors_corrected_out += scratch.decode.errors_corrected;
-    }
-    decoded[w].assign(scratch.decode.data.begin(), scratch.decode.data.end());
   }
   return true;
-}
-
-std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
-    const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model,
-    int* errors_corrected_out, bool use_erasure_side_info) {
-  ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ApplyChannelInto)
-  std::vector<std::vector<fec::GfElem>> decoded;  // lint: allow-hot-alloc
-  if (!ApplyChannelInto(codewords, code, model, scratch, decoded,
-                        errors_corrected_out, use_erasure_side_info)) {
-    return std::nullopt;
-  }
-  return decoded;
 }
 
 void ReverseChannel::Transmit(CodedBurst burst) { pending_.push_back(std::move(burst)); }
@@ -76,12 +77,6 @@ void ReverseChannel::CollectInto(Interval slot, std::vector<CodedBurst>& hits) {
       ++it;
     }
   }
-}
-
-std::vector<CodedBurst> ReverseChannel::Collect(Interval slot) {
-  std::vector<CodedBurst> hits;  // lint: allow-hot-alloc (allocating wrapper; hot paths use CollectInto)
-  CollectInto(slot, hits);
-  return hits;
 }
 
 SlotReception ReverseChannel::ResolveSlot(Interval slot, const fec::ReedSolomon& code,
@@ -129,7 +124,7 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   out.sender = burst.sender;
   out.tag = burst.tag;
   int corrected = 0;
-  if (!ApplyChannelInto(burst.codewords, code, model_for(burst.sender), scratch,
+  if (!ApplyChannelInto(burst.blocks, code, model_for(burst.sender), scratch,
                         out.info, &corrected, use_erasure_side_info)) {
     out.outcome = SlotOutcome::kDecodeFailure;
     out.info.clear();  // partially decoded blocks are meaningless

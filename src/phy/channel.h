@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/time.h"
@@ -27,7 +28,7 @@ namespace osumac::phy {
 /// A coded burst put on the air by one transmitter.
 struct CodedBurst {
   Interval on_air;  ///< full airtime including preamble/postamble/guard
-  std::vector<std::vector<fec::GfElem>> codewords;  ///< coded symbols
+  std::vector<std::vector<fec::GfElem>> blocks;  ///< k-byte RS information blocks
   int sender = -1;      ///< node index (diagnostics / error-model lookup)
   std::uint64_t tag = 0;  ///< opaque MAC bookkeeping id
 };
@@ -52,35 +53,37 @@ struct SlotReception {
   std::vector<int> colliders;
 };
 
-/// Reusable per-receiver scratch for ApplyChannelInto / ResolveSlot*.
-/// Holds the noisy codeword copy, erasure list, and decode result so
-/// steady-state slot resolution costs zero heap allocations (buffers reach
+/// Reusable per-receiver scratch for ReceiveBlockInto / ResolveSlot*: the noisy
+/// word, a touched block's codeword, the erasure list and the decode result,
+/// so steady-state slot resolution costs zero heap allocations (buffers reach
 /// their high-water capacity within the first few slots and stay there).
 struct ChannelScratch {
   std::vector<fec::GfElem> noisy;
+  std::vector<fec::GfElem> codeword;
   std::vector<int> erasures;
   fec::DecodeResult decode;
 };
 
-/// Passes coded codewords through an error model and an RS decoder.
-/// Returns decoded info blocks, or nullopt if any codeword fails to decode.
-/// `errors_corrected_out`, if non-null, accumulates corrected symbol counts.
-/// With `use_erasure_side_info`, the receiver feeds the model's erasure
-/// side information to the decoder (errors-and-erasures decoding doubles
-/// the correctable burst length; cf. the paper's reference [2]).
-std::optional<std::vector<std::vector<fec::GfElem>>> ApplyChannel(
-    const std::vector<std::vector<fec::GfElem>>& codewords,
-    const fec::ReedSolomon& code, SymbolErrorModel& model,
-    int* errors_corrected_out = nullptr, bool use_erasure_side_info = false);
+/// Sends one k-byte information block (checked always) through `model` and
+/// the RS decoder of `code`; writes the decoded block into `decoded` and
+/// returns false if the word fails to decode.  `errors_corrected_out`, if
+/// non-null, accumulates corrected symbol counts.  `use_erasure_side_info`
+/// feeds the model's erasure flags to the decoder (cf. the paper's [2]).
+/// Parity on demand: the model corrupts an all-zero word, giving the error
+/// pattern e (SymbolErrorModel's XOR contract); only a touched word (e != 0
+/// or erasures) is encoded to c and c ^ e decoded, exactly what an eagerly
+/// encoded word would have become.  An untouched word, by far the common
+/// case, is the sent block: no encode, no decode.
+bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon& code,
+                      SymbolErrorModel& model, ChannelScratch& scratch,
+                      std::vector<fec::GfElem>& decoded,
+                      int* errors_corrected_out = nullptr,
+                      bool use_erasure_side_info = false);
 
-/// Allocation-reusing core of ApplyChannel.  Writes the decoded info blocks
-/// into `decoded` (resized to match; inner vectors keep their capacity) and
-/// returns false if any codeword fails to decode.  Identical decode
-/// semantics to ApplyChannel.  Relies on the SymbolErrorModel contract that
-/// the returned hit count is exact: an untouched codeword (0 hits, no
-/// erasure flags) is already a valid codeword, so the RS decoder is skipped
-/// outright — by far the dominant case at paper error rates.
-bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& codewords,
+/// ReceiveBlockInto over `blocks` in order into `decoded` (resized; inner
+/// vectors keep their capacity).  Returns false at the first block that
+/// fails to decode; later blocks never reach the model.
+bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& blocks,
                       const fec::ReedSolomon& code, SymbolErrorModel& model,
                       ChannelScratch& scratch,
                       std::vector<std::vector<fec::GfElem>>& decoded,
@@ -124,7 +127,6 @@ class ReverseChannel {
   const std::vector<CodedBurst>& pending() const { return pending_; }
 
  private:
-  std::vector<CodedBurst> Collect(Interval slot);
   /// Moves overlapping bursts into `hits` (cleared first, capacity reused).
   void CollectInto(Interval slot, std::vector<CodedBurst>& hits);
 

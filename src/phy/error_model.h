@@ -27,12 +27,19 @@ namespace osumac::phy {
 /// Interface: corrupts a coded burst in place; returns the number of byte
 /// symbols flipped.  Implementations may be stateful (burst channels keep
 /// state across calls).
+///
+/// XOR contract, which every implementation must keep: a hit byte is XOR-ed
+/// with a nonzero delta, and the hit positions, deltas and erasure list
+/// depend only on the model's state and private stream, never on the word.
+/// So corrupting any word w yields w ^ e for one error pattern e whose
+/// weight is the hit count; the channel reads e off an all-zero word and
+/// encodes only when e is nonzero (tests/channel_contract_test.cc).
 class SymbolErrorModel {
  public:
   virtual ~SymbolErrorModel() = default;
 
-  /// Corrupts `codeword` in place; each changed byte becomes a random value
-  /// different from the original. Returns the number of corrupted bytes.
+  /// Corrupts `codeword` in place, XOR-ing a nonzero delta into each hit
+  /// byte (the contract above). Returns the number of corrupted bytes.
   virtual int Corrupt(std::span<fec::GfElem> codeword) = 0;
 
   /// Like Corrupt, but additionally reports *erasure side information*:

@@ -173,7 +173,7 @@ CodedBurst MakeBurst(Interval when, int sender, const fec::ReedSolomon& rs, Rng&
   CodedBurst burst;
   burst.on_air = when;
   burst.sender = sender;
-  burst.codewords.push_back(rs.Encode(data));
+  burst.blocks.push_back(data);
   return burst;
 }
 
