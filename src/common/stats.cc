@@ -38,11 +38,14 @@ double SampleSet::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-double SampleSet::Mean() const {
-  if (samples_.empty()) return 0.0;
+double SampleSet::Sum() const {
   double s = 0.0;
   for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
+  return s;
+}
+
+double SampleSet::Mean() const {
+  return samples_.empty() ? 0.0 : Sum() / static_cast<double>(samples_.size());
 }
 
 double SampleSet::Max() const {

@@ -46,6 +46,7 @@ class SampleSet {
   /// Quantile by linear interpolation, q in [0, 1]. Requires non-empty.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
+  double Sum() const;
   double Mean() const;
   double Max() const;
 
