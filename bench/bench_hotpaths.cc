@@ -14,7 +14,10 @@
 //   hotpath_cycle_untraced     a short scenario run with no trace attached
 //   hotpath_cycle_traced       the same scenario with an EventTrace attached
 //   hotpath_cycle_profiled     the same scenario with an obs::Profiler
-//                              installed (every OSUMAC_PROFILE_ZONE live)
+//                              installed (every OSUMAC_PROFILE_ZONE live);
+//                              its JSON entry also records `zone_entries`,
+//                              the zones one run enters, so the gate bounds
+//                              the profiler's cost per zone entry
 //
 // The gate checks *relative* invariants that hold on any machine (clean
 // decode must beat corrupt decode, fast channel must beat per-symbol, the
@@ -131,7 +134,17 @@ exp::ScenarioSpec CycleSpec() {
   return spec;
 }
 
-void BenchCyclePhases(obs::WallTimerRegistry& wall, int reps) {
+/// Zone entries recorded under `node`, `node` itself included.
+std::int64_t ZoneEntries(const obs::ZoneNode& node) {
+  std::int64_t entries = node.count;
+  for (const auto& [name, child] : node.children) entries += ZoneEntries(*child);
+  return entries;
+}
+
+/// Times the cycle phases; returns the zone entries of one profiled run
+/// (the simulation is deterministic, so every repetition enters the same).
+std::int64_t BenchCyclePhases(obs::WallTimerRegistry& wall, int reps) {
+  std::int64_t zone_entries = 0;
   for (int r = 0; r < reps; ++r) {
     {
       obs::ScopedWallTimer t(wall, "hotpath_cycle_untraced");
@@ -151,18 +164,37 @@ void BenchCyclePhases(obs::WallTimerRegistry& wall, int reps) {
       // out and this phase collapses onto the untraced one.
       obs::Profiler profiler;
       const obs::Profiler::ThreadScope scope(&profiler);
-      obs::ScopedWallTimer t(wall, "hotpath_cycle_profiled");
-      exp::RunScenario(CycleSpec());
+      {
+        obs::ScopedWallTimer t(wall, "hotpath_cycle_profiled");
+        exp::RunScenario(CycleSpec());
+      }
+      zone_entries = ZoneEntries(profiler.root());
     }
   }
+  return zone_entries;
+}
+
+/// The phase lines of `wall` as WriteWallTimersJson lays them out, with
+/// the profiled phase's zone entries added to its entry.
+std::string PhasesJson(const obs::WallTimerRegistry& wall, const std::string& provenance,
+                       std::int64_t zone_entries) {
+  std::ostringstream json;
+  obs::WriteWallTimersJson(json, wall, provenance);
+  std::string text = json.str();
+  const std::string key = "{\"name\": \"hotpath_cycle_profiled\"";
+  const std::size_t at = text.find(key);
+  const std::size_t close = at == std::string::npos ? at : text.find('}', at);
+  if (close != std::string::npos) {
+    text.insert(close, ", \"zone_entries\": " + std::to_string(zone_entries));
+  }
+  return text;
 }
 
 /// Splices this run's phase lines into an existing BENCH_perf.json,
 /// dropping any previous hotpath_* entries.  Relies on the exact
 /// WriteWallTimersJson layout: one `    {"name": ...}` line per phase
 /// between `  "phases": [` and `  ]`.
-bool MergeInto(const std::string& path, const obs::WallTimerRegistry& wall,
-               const std::string& provenance) {
+bool MergeInto(const std::string& path, const std::string& phases_json) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_hotpaths: cannot read %s\n", path.c_str());
@@ -172,11 +204,9 @@ bool MergeInto(const std::string& path, const obs::WallTimerRegistry& wall,
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   in.close();
 
-  std::ostringstream ours_stream;
-  obs::WriteWallTimersJson(ours_stream, wall, provenance);
   std::vector<std::string> ours;
   {
-    std::istringstream is(ours_stream.str());
+    std::istringstream is(phases_json);
     bool in_phases = false;
     for (std::string line; std::getline(is, line);) {
       if (line == "  \"phases\": [") {
@@ -250,24 +280,27 @@ int main(int argc, char** argv) {
   obs::WallTimerRegistry wall;
   BenchRsPhases(wall, reps);
   BenchChannelPhases(wall, reps);
-  BenchCyclePhases(wall, reps);
+  const std::int64_t zone_entries = BenchCyclePhases(wall, reps);
   wall.Report(std::cout);
+  std::printf("hotpath_cycle_profiled zone entries per run: %lld\n",
+              static_cast<long long>(zone_entries));
 
-  const std::string provenance =
-      obs::ProvenanceLine("bench_hotpaths", 0, "reps=" + std::to_string(reps));
+  const std::string json = PhasesJson(
+      wall, obs::ProvenanceLine("bench_hotpaths", 0, "reps=" + std::to_string(reps)),
+      zone_entries);
   if (!merge_into.empty()) {
-    if (!MergeInto(merge_into, wall, provenance)) return 1;
+    if (!MergeInto(merge_into, json)) return 1;
     std::printf("merged hotpath phases into %s\n", merge_into.c_str());
   } else if (!out_path.empty()) {
     std::ofstream out(out_path);
-    obs::WriteWallTimersJson(out, wall, provenance);
+    out << json;
     if (!out) {
       std::fprintf(stderr, "bench_hotpaths: cannot write %s\n", out_path.c_str());
       return 1;
     }
     std::printf("wrote %s\n", out_path.c_str());
   } else {
-    obs::WriteWallTimersJson(std::cout, wall, provenance);
+    std::cout << json;
   }
   return 0;
 }

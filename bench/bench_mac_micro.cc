@@ -61,10 +61,11 @@ BENCHMARK(BM_ControlFieldParse);
 
 void BM_ControlFieldEncodeDecodeRs(benchmark::State& state) {
   // The eager control-field air path: serialize, RS-encode both codewords,
-  // decode, parse.  The simulator pays this only for a set whose words the
-  // channel touched; a clean reception skips the encode and the decode
-  // (phy::ReceiveBlockInto), so this is the worst case per receiver, not
-  // the common one.
+  // decode, parse.  The simulator never runs it: a receiver decodes only a
+  // touched word's error pattern (phy::ReceiveWord) and serializes and
+  // parses the set only when a word is miscorrected.  This is the per-
+  // receiver cost that design removes (tests/eager_air.h keeps the path as
+  // a test oracle).
   const auto& rs = fec::ReedSolomon::Osu6448();
   ControlFields cf;
   for (auto _ : state) {
@@ -100,9 +101,10 @@ void BM_BaseStationPlanCycle(benchmark::State& state) {
     RegistrationPacket reg;
     reg.ein = ein;
     reg.wants_gps = ein <= 4;
-    phy::SlotReception r;
+    const UplinkFrame frame = reg;
+    UplinkReception r;
     r.outcome = phy::SlotOutcome::kDecoded;
-    r.info = {SerializeRegistrationPacket(reg)};
+    r.frame = &frame;
     bs.OnDataSlotResolved(1, r);
     bs.PlanCycle(cycle++);
   }
@@ -110,9 +112,10 @@ void BM_BaseStationPlanCycle(benchmark::State& state) {
     ReservationPacket res;
     res.src = uid;
     res.slots_requested = 10;
-    phy::SlotReception r;
+    const UplinkFrame frame = res;
+    UplinkReception r;
     r.outcome = phy::SlotOutcome::kDecoded;
-    r.info = {SerializeReservationPacket(res)};
+    r.frame = &frame;
     bs.OnDataSlotResolved(1, r);
   }
   for (auto _ : state) {

@@ -195,7 +195,7 @@ ControlFields BaseStation::PlanCycle(std::uint16_t cycle) {
   return cf;
 }
 
-void BaseStation::OnLastSlotOfPreviousCycle(const phy::SlotReception& reception) {
+void BaseStation::OnLastSlotOfPreviousCycle(const UplinkReception& reception) {
   // The slot index in the *previous* cycle's numbering was its last data
   // slot; its ACK travels in this cycle's CF2 late fields.
   switch (reception.outcome) {
@@ -210,7 +210,9 @@ void BaseStation::OnLastSlotOfPreviousCycle(const phy::SlotReception& reception)
       ++counters_.decode_failures;
       break;
     case phy::SlotOutcome::kDecoded:
-      ProcessUplinkInfo(-1, reception.info, /*is_last_slot=*/true);
+      if (reception.frame != nullptr) {
+        ProcessUplinkFrame(-1, *reception.frame, /*is_last_slot=*/true);
+      }
       break;
   }
 }
@@ -240,7 +242,7 @@ ControlFields BaseStation::SecondControlFields() {
   return cf2;
 }
 
-void BaseStation::OnGpsSlotResolved(int slot, const phy::SlotReception& reception) {
+void BaseStation::OnGpsSlotResolved(int slot, const UplinkReception& reception) {
   // GPS liveness: track consecutive cycles in which an assigned slot
   // carried nothing decodable; time the owner out if configured.
   const UserId owner = gps_.OwnerOf(slot);
@@ -263,8 +265,9 @@ void BaseStation::OnGpsSlotResolved(int slot, const phy::SlotReception& receptio
       ++counters_.gps_packets_failed;
       break;
     case phy::SlotOutcome::kDecoded: {
-      const auto gps = ParseGpsPacket(reception.info.front());
-      if (gps.has_value()) {
+      const GpsPacket* gps =
+          reception.frame != nullptr ? std::get_if<GpsPacket>(reception.frame) : nullptr;
+      if (gps != nullptr) {
         ++counters_.gps_packets_received;
         gps_ack_bitmap_next_ |= static_cast<std::uint8_t>(1u << slot);
         const auto it = ein_to_uid_.find(gps->ein);
@@ -285,7 +288,7 @@ void BaseStation::OnGpsSlotResolved(int slot, const phy::SlotReception& receptio
   }
 }
 
-void BaseStation::OnDataSlotResolved(int slot, const phy::SlotReception& reception) {
+void BaseStation::OnDataSlotResolved(int slot, const UplinkReception& reception) {
   const bool assigned = reverse_schedule_[static_cast<std::size_t>(slot)] != kNoUser;
   const bool designated_contention = slot < contention_slots_this_cycle_;
   switch (reception.outcome) {
@@ -305,18 +308,14 @@ void BaseStation::OnDataSlotResolved(int slot, const phy::SlotReception& recepti
       ++counters_.decode_failures;
       break;
     case phy::SlotOutcome::kDecoded:
-      ProcessUplinkInfo(slot, reception.info, /*is_last_slot=*/false);
+      if (reception.frame != nullptr) {
+        ProcessUplinkFrame(slot, *reception.frame, /*is_last_slot=*/false);
+      }
       break;
   }
 }
 
-void BaseStation::ProcessUplinkInfo(int slot,
-                                    const std::vector<std::vector<fec::GfElem>>& info,
-                                    bool is_last_slot) {
-  OSUMAC_CHECK(!info.empty());
-  const auto packet = ParseUplinkPacket(info.front());
-  if (!packet.has_value()) return;  // malformed; no ACK, sender retries
-
+void BaseStation::ProcessUplinkFrame(int slot, const UplinkFrame& frame, bool is_last_slot) {
   const bool slot_assigned =
       !is_last_slot && slot >= 0 &&
       reverse_schedule_[static_cast<std::size_t>(slot)] != kNoUser;
@@ -332,139 +331,129 @@ void BaseStation::ProcessUplinkInfo(int slot,
     }
   };
 
-  switch (packet->kind) {
-    case PacketKind::kData: {
-      const DataPacket& d = *packet->data;
-      const UserId uid = d.header.src;
-      if (!uid_to_ein_.contains(uid)) return;  // stale/unknown user
-      ++counters_.data_packets_received;
-      ++counters_.data_slots_used;
-      if (in_contention) ++counters_.contention_data_received;
-      if (is_last_slot) ++counters_.last_slot_data_packets;
+  if (const DataPacket* data = std::get_if<DataPacket>(&frame)) {
+    const DataPacket& d = *data;
+    const UserId uid = d.header.src;
+    if (!uid_to_ein_.contains(uid)) return;  // stale/unknown user
+    ++counters_.data_packets_received;
+    ++counters_.data_slots_used;
+    if (in_contention) ++counters_.contention_data_received;
+    if (is_last_slot) ++counters_.last_slot_data_packets;
 
-      const std::uint64_t key = FragKey(d.message_id, d.header.frag_index);
-      const bool duplicate = !seen_frags_[uid].insert(key).second;
-      if (duplicate) {
-        ++counters_.duplicate_packets;
-      } else {
-        counters_.payload_bytes_received += d.payload_bytes;
+    const std::uint64_t key = FragKey(d.message_id, d.header.frag_index);
+    const bool duplicate = !seen_frags_[uid].insert(key).second;
+    if (duplicate) {
+      ++counters_.duplicate_packets;
+    } else {
+      counters_.payload_bytes_received += d.payload_bytes;
+    }
+    // Subscriber-to-subscriber routing: reassemble addressed messages
+    // and forward them once complete (Section 2.2).
+    if (!duplicate && d.dest_ein != 0) {
+      Reassembly& re = reassembly_[{uid, d.message_id}];
+      re.frags.insert(d.header.frag_index);
+      re.frag_count = d.frag_count;
+      re.bytes += d.payload_bytes;
+      re.dest_ein = d.dest_ein;
+      if (static_cast<int>(re.frags.size()) >= re.frag_count) {
+        RouteCompleteMessage(uid, re.dest_ein, re.bytes);
+        reassembly_.erase({uid, d.message_id});
       }
-      // Subscriber-to-subscriber routing: reassemble addressed messages
-      // and forward them once complete (Section 2.2).
-      if (!duplicate && d.dest_ein != 0) {
-        Reassembly& re = reassembly_[{uid, d.message_id}];
-        re.frags.insert(d.header.frag_index);
-        re.frag_count = d.frag_count;
-        re.bytes += d.payload_bytes;
-        re.dest_ein = d.dest_ein;
-        if (static_cast<int>(re.frags.size()) >= re.frag_count) {
-          RouteCompleteMessage(uid, re.dest_ein, re.bytes);
-          reassembly_.erase({uid, d.message_id});
-        }
-      }
+    }
 
-      // Implicit reservation: the header's more_slots field *replaces* the
-      // user's demand (it reports the current queue length).
-      const int more = std::min<int>(d.header.more_slots, config_.max_slots_per_request);
-      if (more > 0) {
-        demand_[uid] = more;
-      } else {
-        demand_.erase(uid);
-      }
-      set_ack(uid);
+    // Implicit reservation: the header's more_slots field *replaces* the
+    // user's demand (it reports the current queue length).
+    const int more = std::min<int>(d.header.more_slots, config_.max_slots_per_request);
+    if (more > 0) {
+      demand_[uid] = more;
+    } else {
+      demand_.erase(uid);
+    }
+    set_ack(uid);
 
-      UplinkDelivery delivery;
-      delivery.src = uid;
-      delivery.message_id = d.message_id;
-      delivery.frag_index = d.header.frag_index;
-      delivery.frag_count = d.frag_count;
-      delivery.payload_bytes = d.payload_bytes;
-      delivery.duplicate = duplicate;
-      delivery.in_contention_slot = in_contention;
-      deliveries_.push_back(delivery);
-      if (sink_ != nullptr) {
-        obs::Event e;
-        e.kind = obs::EventKind::kDelivery;
-        e.channel = obs::Channel::kReverse;
-        e.uid = uid;
-        e.slot = slot;
-        e.a0 = d.payload_bytes;
-        e.a1 = duplicate ? 1 : 0;
-        e.a2 = in_contention ? 1 : 0;
-        Emit(e);
-      }
-      if (sink_ != nullptr) {
-        // Lifecycle stage: the fragment reached the base station.  The id
-        // is rebuilt from the same (message_id, frag) key the reassembler
-        // uses, so it matches the subscriber's emissions.
-        obs::Event e;
-        e.kind = obs::EventKind::kLifecycle;
-        e.channel = obs::Channel::kReverse;
-        e.uid = uid;
-        e.slot = slot;
-        e.a0 = obs::kStageDelivered;
-        e.a1 = obs::DataLifecycleId(d.message_id, d.header.frag_index);
-        e.a2 = duplicate ? 1 : 0;
-        e.a3 = obs::kClassData;
-        Emit(e);
-      }
-      break;
+    UplinkDelivery delivery;
+    delivery.src = uid;
+    delivery.message_id = d.message_id;
+    delivery.frag_index = d.header.frag_index;
+    delivery.frag_count = d.frag_count;
+    delivery.payload_bytes = d.payload_bytes;
+    delivery.duplicate = duplicate;
+    delivery.in_contention_slot = in_contention;
+    deliveries_.push_back(delivery);
+    if (sink_ != nullptr) {
+      obs::Event e;
+      e.kind = obs::EventKind::kDelivery;
+      e.channel = obs::Channel::kReverse;
+      e.uid = uid;
+      e.slot = slot;
+      e.a0 = d.payload_bytes;
+      e.a1 = duplicate ? 1 : 0;
+      e.a2 = in_contention ? 1 : 0;
+      Emit(e);
     }
-    case PacketKind::kReservation: {
-      const ReservationPacket& r = *packet->reservation;
-      if (!uid_to_ein_.contains(r.src)) return;
-      ++counters_.reservation_packets_received;
-      const int want = std::min<int>(r.slots_requested, config_.max_slots_per_request);
-      if (want > 0) demand_[r.src] = want;
-      set_ack(r.src);
-      if (sink_ != nullptr) {
-        obs::Event e;
-        e.kind = obs::EventKind::kReservation;
-        e.channel = obs::Channel::kReverse;
-        e.uid = r.src;
-        e.slot = slot;
-        e.a0 = want;
-        Emit(e);
+    if (sink_ != nullptr) {
+      // Lifecycle stage: the fragment reached the base station.  The id
+      // is rebuilt from the same (message_id, frag) key the reassembler
+      // uses, so it matches the subscriber's emissions.
+      obs::Event e;
+      e.kind = obs::EventKind::kLifecycle;
+      e.channel = obs::Channel::kReverse;
+      e.uid = uid;
+      e.slot = slot;
+      e.a0 = obs::kStageDelivered;
+      e.a1 = obs::DataLifecycleId(d.message_id, d.header.frag_index);
+      e.a2 = duplicate ? 1 : 0;
+      e.a3 = obs::kClassData;
+      Emit(e);
+    }
+  } else if (const ReservationPacket* res = std::get_if<ReservationPacket>(&frame)) {
+    const ReservationPacket& r = *res;
+    if (!uid_to_ein_.contains(r.src)) return;
+    ++counters_.reservation_packets_received;
+    const int want = std::min<int>(r.slots_requested, config_.max_slots_per_request);
+    if (want > 0) demand_[r.src] = want;
+    set_ack(r.src);
+    if (sink_ != nullptr) {
+      obs::Event e;
+      e.kind = obs::EventKind::kReservation;
+      e.channel = obs::Channel::kReverse;
+      e.uid = r.src;
+      e.slot = slot;
+      e.a0 = want;
+      Emit(e);
+    }
+  } else if (const RegistrationPacket* reg = std::get_if<RegistrationPacket>(&frame)) {
+    ++counters_.registration_packets_received;
+    HandleRegistration(*reg, slot, is_last_slot);
+  } else if (const DeregistrationPacket* dereg = std::get_if<DeregistrationPacket>(&frame)) {
+    const DeregistrationPacket& d = *dereg;
+    ++counters_.deregistrations_received;
+    // Idempotent: the EIN is authoritative; ACK with the packet's uid so
+    // the mobile knows the sign-off was heard even on a repeat.
+    const auto it = ein_to_uid_.find(d.ein);
+    if (it != ein_to_uid_.end() && it->second == d.src) SignOff(d.src);
+    set_ack(d.src);
+  } else if (const ForwardAckPacket* ack = std::get_if<ForwardAckPacket>(&frame)) {
+    const ForwardAckPacket& a = *ack;
+    const UserId uid = a.header.src;
+    if (!uid_to_ein_.contains(uid)) return;
+    ++counters_.forward_acks_received;
+    if (config_.downlink_arq) {
+      for (int i = 0; i < a.count; ++i) {
+        const ForwardAckEntry& e = a.acks[static_cast<std::size_t>(i)];
+        unacked_forward_.erase(
+            {uid, (static_cast<std::uint32_t>(e.message_id_low) << 8) | e.frag_index});
       }
-      break;
     }
-    case PacketKind::kRegistration: {
-      ++counters_.registration_packets_received;
-      HandleRegistration(*packet->registration, slot, is_last_slot);
-      break;
+    const int more = std::min<int>(a.header.more_slots, config_.max_slots_per_request);
+    if (more > 0) {
+      demand_[uid] = more;
+    } else {
+      demand_.erase(uid);
     }
-    case PacketKind::kDeregistration: {
-      const DeregistrationPacket& d = *packet->deregistration;
-      ++counters_.deregistrations_received;
-      // Idempotent: the EIN is authoritative; ACK with the packet's uid so
-      // the mobile knows the sign-off was heard even on a repeat.
-      const auto it = ein_to_uid_.find(d.ein);
-      if (it != ein_to_uid_.end() && it->second == d.src) SignOff(d.src);
-      set_ack(d.src);
-      break;
-    }
-    case PacketKind::kForwardAck: {
-      const ForwardAckPacket& a = *packet->forward_ack;
-      const UserId uid = a.header.src;
-      if (!uid_to_ein_.contains(uid)) return;
-      ++counters_.forward_acks_received;
-      if (config_.downlink_arq) {
-        for (int i = 0; i < a.count; ++i) {
-          const ForwardAckEntry& e = a.acks[static_cast<std::size_t>(i)];
-          unacked_forward_.erase(
-              {uid, (static_cast<std::uint32_t>(e.message_id_low) << 8) | e.frag_index});
-        }
-      }
-      const int more = std::min<int>(a.header.more_slots, config_.max_slots_per_request);
-      if (more > 0) {
-        demand_[uid] = more;
-      } else {
-        demand_.erase(uid);
-      }
-      set_ack(uid);
-      break;
-    }
+    set_ack(uid);
   }
+  // A GPS report never rides in a data slot: nothing to act on.
 }
 
 void BaseStation::HandleRegistration(const RegistrationPacket& reg, int /*slot*/,

@@ -90,6 +90,15 @@ struct UplinkDelivery {
   bool in_contention_slot = false;
 };
 
+/// One reverse slot as the base station observes it.
+struct UplinkReception {
+  phy::SlotOutcome outcome = phy::SlotOutcome::kIdle;
+  /// kDecoded only: the frame the receiver's bytes carry, valid for the
+  /// call: the sender's own frame when every word arrived intact, the parse
+  /// of the miscorrected bytes otherwise, null when those do not parse.
+  const UplinkFrame* frame = nullptr;
+};
+
 class BaseStation {
  public:
   explicit BaseStation(const MacConfig& config);
@@ -103,18 +112,18 @@ class BaseStation {
   /// Reports the resolution of the *previous* cycle's last reverse data
   /// slot (which overlapped this cycle's CF1).  Must be called after
   /// PlanCycle and before SecondControlFields.
-  void OnLastSlotOfPreviousCycle(const phy::SlotReception& reception);
+  void OnLastSlotOfPreviousCycle(const UplinkReception& reception);
 
   /// Returns the finalized second set of control fields for this cycle.
   ControlFields SecondControlFields();
 
   /// Reports the outcome of GPS slot `slot` of the current cycle.
-  void OnGpsSlotResolved(int slot, const phy::SlotReception& reception);
+  void OnGpsSlotResolved(int slot, const UplinkReception& reception);
 
   /// Reports the outcome of reverse data slot `slot` of the current cycle.
   /// For the *last* data slot this is deferred by the Cell into the next
   /// cycle's OnLastSlotOfPreviousCycle call instead.
-  void OnDataSlotResolved(int slot, const phy::SlotReception& reception);
+  void OnDataSlotResolved(int slot, const UplinkReception& reception);
 
   /// Deliveries decoded since the last call (for Cell metrics); clears.
   std::vector<UplinkDelivery> TakeDeliveries();
@@ -195,8 +204,7 @@ class BaseStation {
   void SignOff(UserId uid);
 
  private:
-  void ProcessUplinkInfo(int slot, const std::vector<std::vector<fec::GfElem>>& info,
-                         bool is_last_slot);
+  void ProcessUplinkFrame(int slot, const UplinkFrame& frame, bool is_last_slot);
   void HandleRegistration(const RegistrationPacket& reg, int slot, bool is_last_slot);
   void Emit(const obs::Event& event) {
     if (sink_ != nullptr) sink_->Record(event);

@@ -123,15 +123,8 @@ bool Cell::SendUplinkMessage(int node, int bytes) {
   if (accepted) {
     // The arrival may still catch a contention slot later in this cycle.
     if (auto burst = sub.MaybeLateContention(sim_.now()); burst.has_value()) {
-      const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
-      const ReverseCycleLayout layout(bs_.current_format());
-      const Interval rel = layout.DataSlot(burst->slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = node;
-      EmitBurstTx(node, *burst, coded.on_air);
-      coded.blocks.push_back(std::move(burst->info));
-      reverse_channel_.Transmit(std::move(coded));
+      TransmitBurst(node, *burst, ReverseCycleLayout(bs_.current_format()),
+                    (sim_.now() / kCycleTicks) * kCycleTicks);
     }
   }
   return accepted;
@@ -145,15 +138,8 @@ bool Cell::SendSubscriberMessage(int src_node, Ein dest_ein, int bytes) {
       sub.EnqueueMessage(next_message_id_++, bytes, sim_.now(), dest_ein);
   if (accepted) {
     if (auto burst = sub.MaybeLateContention(sim_.now()); burst.has_value()) {
-      const Tick cycle_start = (sim_.now() / kCycleTicks) * kCycleTicks;
-      const ReverseCycleLayout layout(bs_.current_format());
-      const Interval rel = layout.DataSlot(burst->slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = src_node;
-      EmitBurstTx(src_node, *burst, coded.on_air);
-      coded.blocks.push_back(std::move(burst->info));
-      reverse_channel_.Transmit(std::move(coded));
+      TransmitBurst(src_node, *burst, ReverseCycleLayout(bs_.current_format()),
+                    (sim_.now() / kCycleTicks) * kCycleTicks);
     }
   }
   return accepted;
@@ -394,12 +380,7 @@ void Cell::PerturbRngAt(std::int64_t cycle) {
 
 void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle_start) {
   OSUMAC_PROFILE_ZONE("cell.cf");
-  const ControlFieldBlocks blocks = SerializeControlFields(cf);
-  // Parsed once per set: every receiver that decodes the sent bytes exactly
-  // shares this struct (ReceivedControlFields).
-  const std::optional<ControlFields> sent = ParseControlFields(blocks[0], blocks[1]);
-  OSUMAC_CHECK(sent.has_value());
-  std::optional<ControlFields> own;
+  std::optional<ControlFields> own;  // a miscorrected receiver's parse
 
   const Interval body =
       second ? Interval{cycle_start + ForwardCycleLayout::Preamble2().begin,
@@ -439,16 +420,11 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
       continue;
     }
 
-    // Each mobile sees its own downlink path (word 2 only if word 1 decoded).
-    phy::SymbolErrorModel& model = ForwardModelFor(node);
-    const bool side_info = config_.erasure_side_information;
-    const ControlFields* parsed = nullptr;
-    if (phy::ReceiveBlockInto(blocks[0], data_code_, model, channel_scratch_,
-                              cf_decoded_[0], nullptr, side_info) &&
-        phy::ReceiveBlockInto(blocks[1], data_code_, model, channel_scratch_,
-                              cf_decoded_[1], nullptr, side_info)) {
-      parsed = ReceivedControlFields(blocks, *sent, cf_decoded_[0], cf_decoded_[1], own);
-    }
+    // Each mobile sees its own downlink path (word 2 only if word 1
+    // decoded); only a miscorrected receiver goes through the bytes.
+    const ControlFields* parsed =
+        ReceiveControlFields(cf, data_code_, ForwardModelFor(node), channel_scratch_,
+                             config_.erasure_side_information, own);
     if (parsed == nullptr) {
       sub.OnControlFieldsMissed();
       continue;
@@ -472,15 +448,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
     const ReverseCycleLayout layout(config_.mac.dynamic_gps_slots
                                         ? parsed->Format()
                                         : ReverseFormat::kFormat1);
-    for (const PlannedBurst& b : bursts) {
-      const Interval rel = b.is_gps_slot ? layout.GpsSlot(b.slot) : layout.DataSlot(b.slot);
-      phy::CodedBurst coded;
-      coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
-      coded.sender = node;
-      EmitBurstTx(node, b, coded.on_air);
-      coded.blocks.push_back(b.info);
-      reverse_channel_.Transmit(std::move(coded));
-    }
+    for (const PlannedBurst& b : bursts) TransmitBurst(node, b, layout, cycle_start);
   }
 
   for (CellObserver* o : observers_) {
@@ -491,6 +459,7 @@ void Cell::DeliverControlFields(const ControlFields& cf, bool second, Tick cycle
 void Cell::ResolveGpsSlot(int slot, Interval abs) {
   OSUMAC_PROFILE_ZONE("cell.slot.gps");
   const phy::SlotReception& reception = ResolveReverseSlot(abs, gps_code_);
+  const UplinkReception received = ReceiveFrame(reception);
   EmitSlotResolved(slot, abs, static_cast<std::int64_t>(reception.outcome),
                    /*assigned=*/bs_.gps_manager().OwnerOf(slot) != kNoUser,
                    /*designated_contention=*/false, /*is_gps=*/true);
@@ -540,13 +509,14 @@ void Cell::ResolveGpsSlot(int slot, Interval abs) {
       break;
   }
 
-  bs_.OnGpsSlotResolved(slot, reception);
+  bs_.OnGpsSlotResolved(slot, received);
   DrainDeliveries();
 }
 
 void Cell::ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev) {
   OSUMAC_PROFILE_ZONE("cell.slot.data");
   const phy::SlotReception& reception = ResolveReverseSlot(abs, data_code_);
+  const UplinkReception received = ReceiveFrame(reception);
   if (reception.outcome == phy::SlotOutcome::kCollision &&
       GetLogLevel() >= LogLevel::kDebug) {
     std::string who;
@@ -597,9 +567,9 @@ void Cell::ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev) {
   }
 
   if (is_last_of_prev) {
-    bs_.OnLastSlotOfPreviousCycle(reception);
+    bs_.OnLastSlotOfPreviousCycle(received);
   } else {
-    bs_.OnDataSlotResolved(slot, reception);
+    bs_.OnDataSlotResolved(slot, received);
   }
   DrainDeliveries();
 }
@@ -656,19 +626,16 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
     return;
   }
 
-  SerializeForwardDataPacket(*packet, fwd_info_);
-  std::optional<ForwardDataPacket> parsed;
-  if (phy::ReceiveBlockInto(fwd_info_, data_code_, ForwardModelFor(dest->node_index()),
-                            channel_scratch_, fwd_decoded_, nullptr,
-                            config_.erasure_side_information)) {
-    parsed = ParseForwardDataPacket(fwd_decoded_);
-  }
-  if (!parsed.has_value()) {
+  std::optional<ForwardDataPacket> miscorrected;
+  const ForwardDataPacket* received =
+      ReceiveForwardPacket(*packet, data_code_, ForwardModelFor(dest->node_index()),
+                           channel_scratch_, config_.erasure_side_information, miscorrected);
+  if (received == nullptr) {
     emit_loss(obs::kLossDecodeFailure);
     ++metrics_.forward_packets_lost;
     return;
   }
-  dest->OnForwardPacket(*parsed);
+  dest->OnForwardPacket(*received);
   for (std::uint32_t msg : dest->TakeCompletedForwardMessages()) {
     const auto it = downlink_enqueue_tick_.find(msg);
     if (it != downlink_enqueue_tick_.end()) {
@@ -677,6 +644,38 @@ void Cell::DeliverForwardSlot(int slot, Interval abs) {
       downlink_enqueue_tick_.erase(it);
     }
   }
+}
+
+void Cell::TransmitBurst(int node, const PlannedBurst& burst,
+                         const ReverseCycleLayout& layout, Tick cycle_start) {
+  const Interval rel =
+      burst.is_gps_slot ? layout.GpsSlot(burst.slot) : layout.DataSlot(burst.slot);
+  phy::CodedBurst coded;
+  coded.on_air = {cycle_start + rel.begin, cycle_start + rel.end};
+  coded.sender = node;
+  EmitBurstTx(node, burst, coded.on_air);
+  if (free_air_frames_.empty()) {
+    coded.tag = air_frames_.size();
+    air_frames_.push_back(burst.frame);
+  } else {
+    coded.tag = free_air_frames_.back();
+    free_air_frames_.pop_back();
+    air_frames_[coded.tag] = burst.frame;
+  }
+  reverse_channel_.Transmit(coded);
+}
+
+UplinkReception Cell::ReceiveFrame(const phy::SlotReception& reception) {
+  UplinkReception out;
+  out.outcome = reception.outcome;
+  if (reception.outcome == phy::SlotOutcome::kDecoded) {
+    out.frame =
+        ReceivedUplinkFrame(air_frames_[reception.tag], reception, miscorrected_frame_);
+  }
+  for (const phy::CodedBurst& b : reverse_channel_.resolved()) {
+    free_air_frames_.push_back(b.tag);
+  }
+  return out;
 }
 
 void Cell::DrainDeliveries() {

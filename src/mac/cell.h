@@ -8,10 +8,13 @@
 // OSU's in-band signalling work.  Other MAC policies run on the same
 // substrate through the generic mac::PolicyCell driver.
 //
-// The Cell reproduces the full air interface: control fields and packets are
-// really RS-encoded, passed through per-path error models, decoded, and
-// parsed; the reverse channel detects collisions; the half-duplex radio
-// model verifies that nothing is scheduled against the 20 ms switch guard.
+// The Cell reproduces the full air interface at the level the MAC observes:
+// every RS word of the control fields and packets draws its error pattern
+// from its path's error model and is decoded (phy::ReceiveWord); typed
+// frames travel the air, and a word the decoder miscorrects is delivered as
+// the sent bytes XOR the decoder's residual, parsed.  The reverse channel
+// detects collisions; the half-duplex radio model verifies that nothing is
+// scheduled against the 20 ms switch guard.
 //
 // Event timeline of cycle n (T = n * kCycleTicks):
 //   T            collect results, plan cycle (PlanCycle -> CF1 content)
@@ -157,6 +160,14 @@ class Cell : private CellSubstrate {
   void ResolveGpsSlot(int slot, Interval abs);
   void ResolveDataSlot(int slot, Interval abs, bool is_last_of_prev);
   void DeliverForwardSlot(int slot, Interval abs);
+  /// Puts `burst` on the reverse channel in its slot of the cycle starting
+  /// at `cycle_start`, its frame kept in air_frames_ under the burst's tag.
+  void TransmitBurst(int node, const PlannedBurst& burst, const ReverseCycleLayout& layout,
+                     Tick cycle_start);
+  /// What the base station observes in a slot resolved into `reception`,
+  /// and releases the frames of every burst the slot took off the air.  The
+  /// frame stays valid until the next TransmitBurst or ReceiveFrame.
+  UplinkReception ReceiveFrame(const phy::SlotReception& reception);
   void DrainDeliveries();
   void Emit(const obs::Event& event) {
     if (trace_ != nullptr) trace_->Record(event);
@@ -180,11 +191,16 @@ class Cell : private CellSubstrate {
   /// spans true inactive periods.
   static constexpr Tick kNoPagingCheck = -1;
   std::vector<Tick> last_paging_check_;
-  /// Reused per-receiver burst list (MobileSubscriber::OnControlFields) and
-  /// forward info block: control-field delivery allocates nothing per
-  /// receiver in the steady state.
+  /// Reused per-receiver burst list (MobileSubscriber::OnControlFields):
+  /// control-field delivery allocates nothing per receiver in the steady
+  /// state.
   std::vector<PlannedBurst> bursts_;
-  std::vector<fec::GfElem> fwd_info_;
+  /// Frames of the bursts on the air, indexed by CodedBurst::tag (the PHY
+  /// carries error patterns only), and the entries free for reuse.
+  std::vector<UplinkFrame> air_frames_;
+  std::vector<std::uint64_t> free_air_frames_;
+  /// The parse of the last miscorrected uplink word (ReceiveFrame).
+  std::optional<UplinkFrame> miscorrected_frame_;
   /// Per-node tick of the last decoded GPS report (inter-service gap).
   std::map<int, Tick> last_gps_delivery_;
 

@@ -1,7 +1,6 @@
 #include "mac/control_fields.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -99,16 +98,32 @@ std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> blo
   return Parse(blocks);
 }
 
-const ControlFields* ReceivedControlFields(const ControlFieldBlocks& sent,
-                                           const ControlFields& sent_parsed,
-                                           std::span<const fec::GfElem> block0,
-                                           std::span<const fec::GfElem> block1,
-                                           std::optional<ControlFields>& own) {
-  const auto equal = [](std::span<const fec::GfElem> a, std::span<const fec::GfElem> b) {
-    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
-  };
-  if (equal(block0, sent[0]) && equal(block1, sent[1])) return &sent_parsed;
-  own = ParseControlFields(block0, block1);
+std::optional<ControlFields> MiscorrectedControlFields(const ControlFields& sent,
+                                                       std::span<const fec::GfElem> residual) {
+  ControlFieldBlocks blocks = SerializeControlFields(sent);
+  OSUMAC_CHECK_EQ(residual.size(), blocks.bytes.size());
+  for (std::size_t i = 0; i < residual.size(); ++i) blocks.bytes[i] ^= residual[i];
+  return Parse(blocks);
+}
+
+const ControlFields* ReceiveControlFields(const ControlFields& sent,
+                                          const fec::ReedSolomon& code,
+                                          phy::SymbolErrorModel& model,
+                                          phy::ChannelScratch& scratch,
+                                          bool use_erasure_side_info,
+                                          std::optional<ControlFields>& own) {
+  std::array<fec::GfElem, 2 * phy::kRsInfoBytes> residual;
+  bool miscorrected = false;
+  for (std::size_t w = 0; w < 2; ++w) {
+    const phy::WordFate fate = phy::ReceiveWord(
+        code, model, scratch,
+        std::span(residual).subspan(w * phy::kRsInfoBytes, phy::kRsInfoBytes), nullptr,
+        use_erasure_side_info);
+    if (fate == phy::WordFate::kLost) return nullptr;
+    miscorrected |= fate == phy::WordFate::kMiscorrected;
+  }
+  if (!miscorrected) return &sent;
+  own = MiscorrectedControlFields(sent, residual);
   return own.has_value() ? &*own : nullptr;
 }
 

@@ -35,6 +35,7 @@
 #include "fec/gf256.h"
 #include "mac/cycle_layout.h"
 #include "mac/ids.h"
+#include "phy/channel.h"
 #include "phy/phy_params.h"
 
 namespace osumac::mac {
@@ -138,16 +139,25 @@ ControlFieldBlocks SerializeControlFields(const ControlFields& cf);
 std::optional<ControlFields> ParseControlFields(std::span<const fec::GfElem> block0,
                                                 std::span<const fec::GfElem> block1);
 
-/// The control fields one receiver acts on.  The sender parses each set
-/// once (`sent_parsed`, from `sent`); a receiver whose decoded blocks equal
-/// the sent blocks byte for byte shares that struct, any other receiver
-/// gets its own bytes parsed into `own`.  Returns nullptr when those bytes
-/// are malformed.  Byte equality keeps this exact even when RS decoding
-/// miscorrects: a receiver never sees fields its bytes do not carry.
-const ControlFields* ReceivedControlFields(const ControlFieldBlocks& sent,
-                                           const ControlFields& sent_parsed,
-                                           std::span<const fec::GfElem> block0,
-                                           std::span<const fec::GfElem> block1,
-                                           std::optional<ControlFields>& own);
+/// What a receiver acts on when RS decoding miscorrected a word of the set
+/// `sent`: the sent blocks XOR `residual` (both words' information
+/// residuals back to back, 96 bytes; see phy::ReceiveWord), parsed.
+/// nullopt when those bytes are malformed.  A receiver whose words both
+/// arrive intact acts on `sent` itself, so only this rare path serializes
+/// a set: a receiver never sees fields its bytes do not carry.
+std::optional<ControlFields> MiscorrectedControlFields(const ControlFields& sent,
+                                                       std::span<const fec::GfElem> residual);
+
+/// The control fields one receiver acts on after the set `sent` crossed its
+/// downlink `model` (word 2 is received only if word 1 decoded; see
+/// phy::ReceiveWord).  `&sent` when both words arrive intact, the parse of a
+/// miscorrected receiver's bytes (kept in `own`) otherwise, nullptr when a
+/// word is lost or those bytes are malformed.
+const ControlFields* ReceiveControlFields(const ControlFields& sent,
+                                          const fec::ReedSolomon& code,
+                                          phy::SymbolErrorModel& model,
+                                          phy::ChannelScratch& scratch,
+                                          bool use_erasure_side_info,
+                                          std::optional<ControlFields>& own);
 
 }  // namespace osumac::mac

@@ -1,8 +1,9 @@
 #include "mac/packet.h"
 
-#include "common/check.h"
+#include <type_traits>
 
 #include "common/bitio.h"
+#include "common/check.h"
 
 namespace osumac::mac {
 
@@ -153,12 +154,10 @@ std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p) 
   return Returned(p, SerializeForwardDataPacket);
 }
 
-std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& info) {
+std::optional<UplinkFrame> ParseUplinkPacket(std::span<const fec::GfElem> info) {
   if (static_cast<int>(info.size()) != kPacketInfoBytes) return std::nullopt;
   BitReader r(info);
   const PacketHeader h = ReadHeader(r);
-  UplinkPacket out;
-  out.kind = h.kind;
   switch (h.kind) {
     case PacketKind::kData: {
       DataPacket p;
@@ -168,29 +167,25 @@ std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& in
       p.frag_count = static_cast<std::uint8_t>(r.Read(8));
       p.payload_bytes = static_cast<std::uint16_t>(r.Read(16));
       if (p.payload_bytes > kPacketPayloadBytes) return std::nullopt;
-      out.data = p;
-      return out;
+      return p;
     }
     case PacketKind::kReservation: {
       ReservationPacket p;
       p.src = h.src;
       p.slots_requested = static_cast<std::uint8_t>(r.Read(8));
-      out.reservation = p;
-      return out;
+      return p;
     }
     case PacketKind::kRegistration: {
       RegistrationPacket p;
       p.ein = static_cast<Ein>(r.Read(kEinBits));
       p.wants_gps = r.Read(1) != 0;
-      out.registration = p;
-      return out;
+      return p;
     }
     case PacketKind::kDeregistration: {
       DeregistrationPacket p;
       p.src = h.src;
       p.ein = static_cast<Ein>(r.Read(kEinBits));
-      out.deregistration = p;
-      return out;
+      return p;
     }
     case PacketKind::kForwardAck: {
       ForwardAckPacket p;
@@ -201,14 +196,13 @@ std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& in
         e.message_id_low = static_cast<std::uint16_t>(r.Read(16));
         e.frag_index = static_cast<std::uint8_t>(r.Read(8));
       }
-      out.forward_ack = p;
-      return out;
+      return p;
     }
   }
   return std::nullopt;
 }
 
-std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info) {
+std::optional<GpsPacket> ParseGpsPacket(std::span<const fec::GfElem> info) {
   if (info.size() != 9) return std::nullopt;
   BitReader r(info);
   GpsPacket p;
@@ -219,7 +213,7 @@ std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info) {
   return p;
 }
 
-std::optional<ForwardDataPacket> ParseForwardDataPacket(const std::vector<fec::GfElem>& info) {
+std::optional<ForwardDataPacket> ParseForwardDataPacket(std::span<const fec::GfElem> info) {
   if (static_cast<int>(info.size()) != kPacketInfoBytes) return std::nullopt;
   BitReader r(info);
   ForwardDataPacket p;
@@ -230,6 +224,79 @@ std::optional<ForwardDataPacket> ParseForwardDataPacket(const std::vector<fec::G
   p.payload_bytes = static_cast<std::uint16_t>(r.Read(16));
   if (p.payload_bytes > kPacketPayloadBytes) return std::nullopt;
   return p;
+}
+
+void SerializeUplinkFrame(const UplinkFrame& frame, std::vector<fec::GfElem>& out) {
+  std::visit(
+      [&out](const auto& p) {
+        using T = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, DataPacket>) SerializeDataPacket(p, out);
+        if constexpr (std::is_same_v<T, ReservationPacket>) SerializeReservationPacket(p, out);
+        if constexpr (std::is_same_v<T, RegistrationPacket>) {
+          SerializeRegistrationPacket(p, out);
+        }
+        if constexpr (std::is_same_v<T, DeregistrationPacket>) {
+          SerializeDeregistrationPacket(p, out);
+        }
+        if constexpr (std::is_same_v<T, ForwardAckPacket>) SerializeForwardAckPacket(p, out);
+        if constexpr (std::is_same_v<T, GpsPacket>) SerializeGpsPacket(p, out);
+      },
+      frame);
+}
+
+namespace {
+
+/// XORs an information residual into serialized bytes of the same length.
+void ApplyResidual(std::vector<fec::GfElem>& bytes, std::span<const fec::GfElem> residual) {
+  OSUMAC_CHECK_EQ(bytes.size(), residual.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] ^= residual[i];
+}
+
+}  // namespace
+
+std::optional<UplinkFrame> MiscorrectedUplinkFrame(const UplinkFrame& sent,
+                                                   std::span<const fec::GfElem> residual) {
+  std::vector<fec::GfElem> bytes;
+  SerializeUplinkFrame(sent, bytes);
+  ApplyResidual(bytes, residual);
+  if (std::holds_alternative<GpsPacket>(sent)) return ParseGpsPacket(bytes);
+  return ParseUplinkPacket(bytes);
+}
+
+std::optional<ForwardDataPacket> MiscorrectedForwardPacket(
+    const ForwardDataPacket& sent, std::span<const fec::GfElem> residual) {
+  std::vector<fec::GfElem> bytes;
+  SerializeForwardDataPacket(sent, bytes);
+  ApplyResidual(bytes, residual);
+  return ParseForwardDataPacket(bytes);
+}
+
+const UplinkFrame* ReceivedUplinkFrame(const UplinkFrame& sent,
+                                       const phy::SlotReception& reception,
+                                       std::optional<UplinkFrame>& own) {
+  OSUMAC_CHECK(reception.outcome == phy::SlotOutcome::kDecoded);
+  if (!reception.miscorrected) return &sent;
+  own = MiscorrectedUplinkFrame(sent, reception.residual);
+  return own.has_value() ? &*own : nullptr;
+}
+
+const ForwardDataPacket* ReceiveForwardPacket(const ForwardDataPacket& sent,
+                                              const fec::ReedSolomon& code,
+                                              phy::SymbolErrorModel& model,
+                                              phy::ChannelScratch& scratch,
+                                              bool use_erasure_side_info,
+                                              std::optional<ForwardDataPacket>& own) {
+  std::array<fec::GfElem, kPacketInfoBytes> residual;
+  switch (phy::ReceiveWord(code, model, scratch, residual, nullptr, use_erasure_side_info)) {
+    case phy::WordFate::kLost:
+      return nullptr;
+    case phy::WordFate::kIntact:
+      return &sent;
+    case phy::WordFate::kMiscorrected:
+      break;
+  }
+  own = MiscorrectedForwardPacket(sent, residual);
+  return own.has_value() ? &*own : nullptr;
 }
 
 }  // namespace osumac::mac

@@ -21,10 +21,13 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "fec/gf256.h"
 #include "mac/ids.h"
+#include "phy/channel.h"
 
 namespace osumac::mac {
 
@@ -56,6 +59,7 @@ struct PacketHeader {
   std::uint16_t seq = 0;       ///< per-subscriber packet sequence (11 bits)
   std::uint8_t more_slots = 0; ///< piggybacked demand, 0..31
   std::uint8_t frag_index = 0; ///< fragment index within the message (7 bits)
+  friend bool operator==(const PacketHeader&, const PacketHeader&) = default;
 };
 
 /// A regular uplink data packet: header + payload fragment of a message.
@@ -69,18 +73,21 @@ struct DataPacket {
   std::uint16_t payload_bytes = 0;  ///< fragment length (<= kPacketPayloadBytes)
   // The payload body itself is a synthetic fill pattern; only its length
   // matters to the MAC and the metrics.
+  friend bool operator==(const DataPacket&, const DataPacket&) = default;
 };
 
 /// Explicit reservation request (sent in a contention slot).
 struct ReservationPacket {
   UserId src = kNoUser;
   std::uint8_t slots_requested = 0;
+  friend bool operator==(const ReservationPacket&, const ReservationPacket&) = default;
 };
 
 /// Registration request (sent in a contention slot by an unregistered unit).
 struct RegistrationPacket {
   Ein ein = 0;
   bool wants_gps = false;
+  friend bool operator==(const RegistrationPacket&, const RegistrationPacket&) = default;
 };
 
 /// In-band sign-off.  Idempotent: the EIN confirms the identity even if
@@ -88,6 +95,7 @@ struct RegistrationPacket {
 struct DeregistrationPacket {
   UserId src = kNoUser;
   Ein ein = 0;
+  friend bool operator==(const DeregistrationPacket&, const DeregistrationPacket&) = default;
 };
 
 /// One forward-packet acknowledgment.
@@ -105,6 +113,7 @@ struct ForwardAckPacket {
   PacketHeader header;  ///< kind = kForwardAck; more_slots usable
   int count = 0;
   std::array<ForwardAckEntry, kMaxForwardAcks> acks{};
+  friend bool operator==(const ForwardAckPacket&, const ForwardAckPacket&) = default;
 };
 
 /// GPS location report: 72 information bits.
@@ -114,6 +123,7 @@ struct GpsPacket {
   std::uint32_t latitude = 0;   ///< quantized position (24 bits)
   std::uint32_t longitude = 0;  ///< quantized position (24 bits)
   std::uint8_t timestamp = 0;
+  friend bool operator==(const GpsPacket&, const GpsPacket&) = default;
 };
 
 /// Downlink data packet (forward channel).
@@ -123,17 +133,18 @@ struct ForwardDataPacket {
   std::uint8_t frag_index = 0;
   std::uint8_t frag_count = 0;
   std::uint16_t payload_bytes = 0;
+  friend bool operator==(const ForwardDataPacket&, const ForwardDataPacket&) = default;
 };
 
-/// Any uplink packet, as decoded by the base station.
-struct UplinkPacket {
-  PacketKind kind = PacketKind::kData;
-  std::optional<DataPacket> data;
-  std::optional<ReservationPacket> reservation;
-  std::optional<RegistrationPacket> registration;
-  std::optional<DeregistrationPacket> deregistration;
-  std::optional<ForwardAckPacket> forward_ack;
-};
+/// Any uplink frame, as a subscriber puts it on the air and the base
+/// station acts on it: the five regular packet kinds (one RS(64,48) block)
+/// and the GPS report (one RS(32,9) block).  Frames are built at wire
+/// widths (seq 11 bits, more_slots 5, frag_index 7, user IDs 6, GPS
+/// coordinates 24), so parsing a frame's serialized bytes gives the frame
+/// back: a receiver whose words arrive intact acts on the sender's frame
+/// itself, and only a miscorrected word goes through the bytes.
+using UplinkFrame = std::variant<DataPacket, ReservationPacket, RegistrationPacket,
+                                 DeregistrationPacket, ForwardAckPacket, GpsPacket>;
 
 // --- serialization ---------------------------------------------------------
 // Regular packets serialize to exactly kPacketInfoBytes (one RS(64,48)
@@ -170,12 +181,45 @@ void SerializeForwardDataPacket(const ForwardDataPacket& p,
                                  std::vector<fec::GfElem>& out);
 std::vector<fec::GfElem> SerializeForwardDataPacket(const ForwardDataPacket& p);
 
-/// Parses an uplink info block (48 bytes).  Returns nullopt on a malformed
-/// block (e.g. unknown kind) — treated as a packet loss by the caller.
-std::optional<UplinkPacket> ParseUplinkPacket(const std::vector<fec::GfElem>& info);
+/// Serializes any uplink frame: a GPS report into its 9-byte block, every
+/// other kind into a 48-byte block.
+void SerializeUplinkFrame(const UplinkFrame& frame, std::vector<fec::GfElem>& out);
+
+/// Parses an uplink info block (48 bytes) into one of the five regular
+/// packet kinds.  Returns nullopt on a malformed block (e.g. unknown kind)
+/// — treated as a packet loss by the caller.
+std::optional<UplinkFrame> ParseUplinkPacket(std::span<const fec::GfElem> info);
 /// Parses a GPS info block (9 bytes).
-std::optional<GpsPacket> ParseGpsPacket(const std::vector<fec::GfElem>& info);
+std::optional<GpsPacket> ParseGpsPacket(std::span<const fec::GfElem> info);
 /// Parses a forward data packet info block.
-std::optional<ForwardDataPacket> ParseForwardDataPacket(const std::vector<fec::GfElem>& info);
+std::optional<ForwardDataPacket> ParseForwardDataPacket(std::span<const fec::GfElem> info);
+
+/// What a receiver holds when RS decoding miscorrected the word carrying
+/// `sent`: the sent bytes XOR the information residual (phy::ReceiveWord),
+/// parsed with the sent frame's block format.  nullopt when those bytes do
+/// not parse.  Only this rare path serializes an uplink or forward frame.
+std::optional<UplinkFrame> MiscorrectedUplinkFrame(const UplinkFrame& sent,
+                                                   std::span<const fec::GfElem> residual);
+std::optional<ForwardDataPacket> MiscorrectedForwardPacket(
+    const ForwardDataPacket& sent, std::span<const fec::GfElem> residual);
+
+/// The frame the receiver of a decoded reverse slot holds, `sent` being the
+/// frame of the burst it decoded: `&sent` when every word arrived intact,
+/// the parse of the miscorrected bytes (kept in `own`) otherwise, nullptr
+/// when those do not parse.  Requires reception.outcome == kDecoded.
+const UplinkFrame* ReceivedUplinkFrame(const UplinkFrame& sent,
+                                       const phy::SlotReception& reception,
+                                       std::optional<UplinkFrame>& own);
+
+/// The forward packet a receiver gets after `sent` crossed its downlink
+/// `model` (one RS(64,48) word; see phy::ReceiveWord): `&sent` when the word
+/// arrives intact, the parse of the miscorrected bytes (kept in `own`)
+/// otherwise, nullptr when the word is lost or those bytes do not parse.
+const ForwardDataPacket* ReceiveForwardPacket(const ForwardDataPacket& sent,
+                                              const fec::ReedSolomon& code,
+                                              phy::SymbolErrorModel& model,
+                                              phy::ChannelScratch& scratch,
+                                              bool use_erasure_side_info,
+                                              std::optional<ForwardDataPacket>& own);
 
 }  // namespace osumac::mac

@@ -256,38 +256,13 @@ void PolicyCell::TransmitPlanned(std::int64_t n, Tick T) {
         // Access delay: fix ready -> slot TX begin, same class and feeding
         // point as the OSU subscriber.
         slo_.Observe(obs::SloClass::kGpsAccess, ToSeconds(abs.begin - fix));
-        GpsPacket report;
-        report.ein = static_cast<Ein>(1000 + node);
-        report.timestamp = static_cast<std::uint8_t>(n & 0xFF);
-        if (s.short_slot) {
-          coded.blocks.push_back(SerializeGpsPacket(report));
-        } else {
-          // A report granted a full data slot (RQMA) rides in a regular
-          // packet; the driver's tag bookkeeping carries the semantics.
-          DataPacket p;
-          p.header.src = nd.uid;
-          p.payload_bytes = 9;
-          coded.blocks.push_back(SerializeDataPacket(p));
-        }
       } else if (s.use == PolicySlotUse::kAccessRequest) {
         rec.request = true;
-        ReservationPacket req;
-        req.src = nd.uid;
-        req.slots_requested = static_cast<std::uint8_t>(
-            std::min<std::size_t>(31, nd.queue.size()));
-        coded.blocks.push_back(SerializeReservationPacket(req));
       } else {
         const int idx = tx_cursor[static_cast<std::size_t>(node)]++;
         if (idx >= static_cast<int>(nd.queue.size())) continue;  // grant unused
         const Fragment& f = nd.queue[static_cast<std::size_t>(idx)];
         rec.fragment = f;
-        DataPacket p;
-        p.header.src = nd.uid;
-        p.header.frag_index = f.frag_index;
-        p.message_id = f.message_id;
-        p.frag_count = f.frag_count;
-        p.payload_bytes = f.payload_bytes;
-        coded.blocks.push_back(SerializeDataPacket(p));
       }
       coded.tag = next_tag_++;
       tx_records_.emplace(coded.tag, rec);

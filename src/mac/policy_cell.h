@@ -2,8 +2,10 @@
 //
 // PolicyCell hosts one MacPolicy on the CellSubstrate: every cycle it
 // builds the policy's node views, asks for a PolicyCyclePlan, turns the
-// planned slots into really-RS-coded bursts on the (possibly multi-carrier)
-// reverse channel, resolves each slot through the collision/error models,
+// planned slots into one-word RS bursts on the (possibly multi-carrier)
+// reverse channel, resolves each slot through the collision/error models
+// (the driver's tag bookkeeping carries what a burst means, so no frame
+// travels the air),
 // and feeds the outcome back to the policy and the shared accounting
 // (CellMetrics, SloMonitor, per-user byte ledger).
 //

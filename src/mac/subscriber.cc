@@ -9,8 +9,8 @@ struct MobileSubscriber::BurstOut {
   std::vector<PlannedBurst>& list;
   std::size_t count = 0;
 
-  /// The next entry, reused when the list already holds one (its `info`
-  /// keeps its capacity; every burst kind overwrites it whole).
+  /// The next entry, reused when the list already holds one (every burst
+  /// kind overwrites its frame whole).
   PlannedBurst& Add(bool is_gps_slot, int slot) {
     if (count == list.size()) list.emplace_back();
     PlannedBurst& burst = list[count++];
@@ -439,7 +439,7 @@ void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_sta
       report.latitude = static_cast<std::uint32_t>(rng_.UniformInt(0, 0xFFFFFF));
       report.longitude = static_cast<std::uint32_t>(rng_.UniformInt(0, 0xFFFFFF));
       report.timestamp = static_cast<std::uint8_t>(cycle_ & 0xFF);
-      SerializeGpsPacket(report, out.Add(/*is_gps_slot=*/true, *gps_slot_).info);
+      out.Add(/*is_gps_slot=*/true, *gps_slot_).frame = report;
       radio_.CommitTransmit(slot_abs);
       ++stats_.gps_reports_sent;
       const double access_seconds = ToSeconds(slot_abs.begin - *fix);
@@ -515,8 +515,7 @@ void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_sta
       queue_.pop_front();
       ++pkt.attempts;
 
-      SerializeDataPacket(MakeDataPacket(pkt, more),
-                          out.Add(/*is_gps_slot=*/false, slot).info);
+      out.Add(/*is_gps_slot=*/false, slot).frame = MakeDataPacket(pkt, more);
 
       const Interval abs = {cycle_start + layout.DataSlot(slot).begin,
                             cycle_start + layout.DataSlot(slot).end};
@@ -546,7 +545,7 @@ void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_sta
       DeregistrationPacket dereg;
       dereg.src = uid_;
       dereg.ein = ein_;
-      SerializeDeregistrationPacket(dereg, out.Add(/*is_gps_slot=*/false, *slot).info);
+      out.Add(/*is_gps_slot=*/false, *slot).frame = dereg;
       const Interval abs = {cycle_start + layout.DataSlot(*slot).begin,
                             cycle_start + layout.DataSlot(*slot).end};
       radio_.CommitTransmit(abs);
@@ -570,7 +569,7 @@ void MobileSubscriber::PlanTransmissions(const ControlFields& cf, Tick cycle_sta
       RegistrationPacket reg;
       reg.ein = ein_;
       reg.wants_gps = wants_gps_;
-      SerializeRegistrationPacket(reg, out.Add(/*is_gps_slot=*/false, *slot).info);
+      out.Add(/*is_gps_slot=*/false, *slot).frame = reg;
 
       const Interval abs = {cycle_start + layout.DataSlot(*slot).begin,
                             cycle_start + layout.DataSlot(*slot).end};
@@ -651,7 +650,7 @@ void MobileSubscriber::TryContendData(const ControlFields& cf, Tick cycle_start,
     attempt.kind = PacketKind::kData;
     attempt.requested = more;
     attempt.packet = pkt;
-    SerializeDataPacket(MakeDataPacket(pkt, more), burst.info);
+    burst.frame = MakeDataPacket(pkt, more);
     ++stats_.contention_data_sent;
     EmitLifecycle(obs::kStageSlotTx, pkt.lifecycle, pkt.attempts, *slot, abs);
     if (slo_ != nullptr && pkt.attempts == 1) {
@@ -666,7 +665,7 @@ void MobileSubscriber::TryContendData(const ControlFields& cf, Tick cycle_start,
     ReservationPacket res;
     res.src = uid_;
     res.slots_requested = static_cast<std::uint8_t>(std::min(want, 255));
-    SerializeReservationPacket(res, burst.info);
+    burst.frame = res;
     ++stats_.reservation_packets_sent;
     // The reservation opens the queue head's path to a grant.
     EmitLifecycle(obs::kStageReservationTx, queue_.front().lifecycle, want, *slot);
@@ -719,7 +718,7 @@ void MobileSubscriber::MakeAckBurst(int slot, const ReverseCycleLayout& layout,
   const bool is_last = in_flight.is_last;
   acks_in_flight_.push_back(std::move(in_flight));
 
-  SerializeForwardAckPacket(ack, out.Add(/*is_gps_slot=*/false, slot).info);
+  out.Add(/*is_gps_slot=*/false, slot).frame = ack;
   const Interval abs = {cycle_start + layout.DataSlot(slot).begin,
                         cycle_start + layout.DataSlot(slot).end};
   radio_.CommitTransmit(abs);
@@ -733,7 +732,7 @@ DataPacket MobileSubscriber::MakeDataPacket(const PendingPacket& p, int more_slo
   d.header.seq = static_cast<std::uint16_t>(next_seq_++ & 0x7FF);
   d.dest_ein = p.dest_ein;
   d.header.more_slots = static_cast<std::uint8_t>(std::clamp(more_slots, 0, 31));
-  d.header.frag_index = p.frag_index;
+  d.header.frag_index = static_cast<std::uint8_t>(p.frag_index & 0x7F);
   d.message_id = p.message_id;
   d.frag_count = p.frag_count;
   d.payload_bytes = p.payload_bytes;

@@ -46,7 +46,7 @@ namespace osumac::mac {
 struct PlannedBurst {
   bool is_gps_slot = false;
   int slot = -1;  ///< GPS or data slot index within the cycle
-  std::vector<fec::GfElem> info;  ///< serialized information block
+  UplinkFrame frame;  ///< what goes on the air (at wire widths)
 };
 
 /// Subscriber-side counters and samples feeding the paper's figures.
@@ -104,9 +104,9 @@ class MobileSubscriber {
   /// Processes a successfully decoded control-field set and returns the
   /// bursts to put on the reverse channel this cycle.  Also commits all
   /// radio RX/TX intervals for the cycle.  The bursts are written to the
-  /// front of the caller-owned `bursts`, whose entries (and their `info`
-  /// buffers) are reused from call to call; the returned span views them
-  /// and stays valid until `bursts` is next reused.
+  /// front of the caller-owned `bursts`, whose entries are reused from call
+  /// to call; the returned span views them and stays valid until `bursts`
+  /// is next reused.
   std::span<const PlannedBurst> OnControlFields(const ControlFields& cf, Tick cycle_start,
                                                 std::vector<PlannedBurst>& bursts);
 

@@ -163,8 +163,6 @@ class CellSubstrate {
   // their high-water capacity in the first cycles and stay there).
   phy::ChannelScratch channel_scratch_;
   phy::SlotReception slot_reception_;
-  std::array<std::vector<fec::GfElem>, 2> cf_decoded_;
-  std::vector<fec::GfElem> fwd_decoded_;
 
   std::int64_t next_cycle_ = 0;
   std::int64_t target_cycle_ = 0;

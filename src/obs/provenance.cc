@@ -2,9 +2,7 @@
 
 #include <sstream>
 
-#ifndef OSUMAC_GIT_DESCRIBE
-#define OSUMAC_GIT_DESCRIBE "unknown"
-#endif
+#include "osumac_version.h"  // OSUMAC_GIT_DESCRIBE, stamped at build time
 #ifndef OSUMAC_BUILD_TYPE
 #define OSUMAC_BUILD_TYPE "unknown"
 #endif

@@ -8,11 +8,10 @@
 
 namespace osumac::phy {
 
-bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon& code,
-                      SymbolErrorModel& model, ChannelScratch& scratch,
-                      std::vector<fec::GfElem>& decoded, int* errors_corrected_out,
-                      bool use_erasure_side_info) {
-  OSUMAC_CHECK_EQ(static_cast<int>(block.size()), code.k());
+WordFate ReceiveWord(const fec::ReedSolomon& code, SymbolErrorModel& model,
+                     ChannelScratch& scratch, std::span<fec::GfElem> residual,
+                     int* errors_corrected_out, bool use_erasure_side_info) {
+  OSUMAC_CHECK_EQ(static_cast<int>(residual.size()), code.k());
   scratch.noisy.assign(static_cast<std::size_t>(code.n()), 0);
   scratch.erasures.clear();
   const int hits = use_erasure_side_info
@@ -20,14 +19,9 @@ bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon
                        : model.Corrupt(scratch.noisy);
   if (hits == 0 && scratch.erasures.empty()) {
     // Untouched word: the codeword we put on the air, so decoding can only
-    // succeed with zero corrections.  Neither parity nor decoder is needed.
-    decoded.assign(block.begin(), block.end());
-    return true;
-  }
-  scratch.codeword.resize(scratch.noisy.size());
-  code.EncodeInto(block, scratch.codeword);
-  for (std::size_t i = 0; i < scratch.noisy.size(); ++i) {
-    scratch.noisy[i] ^= scratch.codeword[i];
+    // succeed with zero corrections.  No decoder is needed.
+    std::fill(residual.begin(), residual.end(), fec::GfElem{0});
+    return WordFate::kIntact;
   }
   // Filling f erasures leaves n-k-f budget for unknown errors (2e <=
   // n-k-f).  Using all n-k flags would leave zero redundancy: ANY fill
@@ -41,27 +35,18 @@ bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon
       scratch.erasures.size() <= cap
           ? code.DecodeWithErasuresInto(scratch.noisy, scratch.erasures, &scratch.decode)
           : code.DecodeInto(scratch.noisy, &scratch.decode);
-  if (!ok) return false;
+  if (!ok) return WordFate::kLost;
   if (errors_corrected_out != nullptr) {
     *errors_corrected_out += scratch.decode.errors_corrected;
   }
-  decoded.assign(scratch.decode.data.begin(), scratch.decode.data.end());
-  return true;
-}
-
-bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& blocks,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model,
-                      ChannelScratch& scratch,
-                      std::vector<std::vector<fec::GfElem>>& decoded,
-                      int* errors_corrected_out, bool use_erasure_side_info) {
-  decoded.resize(blocks.size());
-  for (std::size_t w = 0; w < blocks.size(); ++w) {
-    if (!ReceiveBlockInto(blocks[w], code, model, scratch, decoded[w],
-                          errors_corrected_out, use_erasure_side_info)) {
-      return false;
-    }
+  // decode(e) is the zero codeword exactly when e was corrected away; any
+  // other codeword of a systematic code has a nonzero information part.
+  fec::GfElem any = 0;
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual[i] = scratch.decode.data[i];
+    any |= residual[i];
   }
-  return true;
+  return any == 0 ? WordFate::kIntact : WordFate::kMiscorrected;
 }
 
 void ReverseChannel::Transmit(CodedBurst burst) { pending_.push_back(std::move(burst)); }
@@ -79,25 +64,6 @@ void ReverseChannel::CollectInto(Interval slot, std::vector<CodedBurst>& hits) {
   }
 }
 
-SlotReception ReverseChannel::ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                                          SymbolErrorModel& model,
-                                          bool use_erasure_side_info) {
-  return ResolveSlotPerSender(
-      slot, code, [&model](int) -> SymbolErrorModel& { return model; },
-      use_erasure_side_info);
-}
-
-SlotReception ReverseChannel::ResolveSlotPerSender(
-    Interval slot, const fec::ReedSolomon& code,
-    const std::function<SymbolErrorModel&(int sender)>& model_for,
-    bool use_erasure_side_info) {
-  ChannelScratch scratch;  // lint: allow-hot-alloc (allocating wrapper; hot paths use ResolveSlotPerSenderInto)
-  SlotReception reception;
-  ResolveSlotPerSenderInto(slot, code, model_for, scratch, reception,
-                           use_erasure_side_info);
-  return reception;
-}
-
 void ReverseChannel::ResolveSlotPerSenderInto(
     Interval slot, const fec::ReedSolomon& code,
     const std::function<SymbolErrorModel&(int sender)>& model_for,
@@ -105,7 +71,8 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   OSUMAC_PROFILE_ZONE("phy.channel");
   CollectInto(slot, collected_);
   out.outcome = SlotOutcome::kIdle;
-  out.info.clear();
+  out.residual.clear();
+  out.miscorrected = false;
   out.sender = -1;
   out.tag = 0;
   out.errors_corrected = 0;
@@ -123,12 +90,21 @@ void ReverseChannel::ResolveSlotPerSenderInto(
   const CodedBurst& burst = collected_.front();
   out.sender = burst.sender;
   out.tag = burst.tag;
+  const std::size_t k = static_cast<std::size_t>(code.k());
+  out.residual.resize(static_cast<std::size_t>(burst.words) * k);
+  SymbolErrorModel& model = model_for(burst.sender);
   int corrected = 0;
-  if (!ApplyChannelInto(burst.blocks, code, model_for(burst.sender), scratch,
-                        out.info, &corrected, use_erasure_side_info)) {
-    out.outcome = SlotOutcome::kDecodeFailure;
-    out.info.clear();  // partially decoded blocks are meaningless
-    return;
+  for (std::size_t w = 0; w < static_cast<std::size_t>(burst.words); ++w) {
+    const WordFate fate =
+        ReceiveWord(code, model, scratch, std::span(out.residual).subspan(w * k, k),
+                    &corrected, use_erasure_side_info);
+    if (fate == WordFate::kLost) {
+      out.outcome = SlotOutcome::kDecodeFailure;
+      out.residual.clear();  // residuals of earlier words are meaningless
+      out.miscorrected = false;
+      return;
+    }
+    if (fate == WordFate::kMiscorrected) out.miscorrected = true;
   }
   out.outcome = SlotOutcome::kDecoded;
   out.errors_corrected = corrected;

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,11 +24,13 @@
 
 namespace osumac::phy {
 
-/// A coded burst put on the air by one transmitter.
+/// A coded burst put on the air by one transmitter.  The channel never sees
+/// the information it carries: the PHY works on error patterns only, and
+/// the sender keeps its frame (a MAC-side table keyed by `tag`).
 struct CodedBurst {
   Interval on_air;  ///< full airtime including preamble/postamble/guard
-  std::vector<std::vector<fec::GfElem>> blocks;  ///< k-byte RS information blocks
-  int sender = -1;      ///< node index (diagnostics / error-model lookup)
+  int words = 1;    ///< RS codewords in the burst
+  int sender = -1;  ///< node index (diagnostics / error-model lookup)
   std::uint64_t tag = 0;  ///< opaque MAC bookkeeping id
 };
 
@@ -44,8 +45,12 @@ enum class SlotOutcome {
 /// Result of resolving one reverse slot at the base station.
 struct SlotReception {
   SlotOutcome outcome = SlotOutcome::kIdle;
-  /// Decoded information bytes, one entry per codeword (kDecoded only).
-  std::vector<std::vector<fec::GfElem>> info;
+  /// kDecoded only: each word's k-byte information residual, back to back
+  /// (see ReceiveWord).  The receiver holds the sent information XOR this;
+  /// all zero unless `miscorrected`.
+  std::vector<fec::GfElem> residual;
+  /// kDecoded only: some word decoded to a codeword other than the one sent.
+  bool miscorrected = false;
   int sender = -1;
   std::uint64_t tag = 0;
   int errors_corrected = 0;
@@ -53,42 +58,40 @@ struct SlotReception {
   std::vector<int> colliders;
 };
 
-/// Reusable per-receiver scratch for ReceiveBlockInto / ResolveSlot*: the noisy
-/// word, a touched block's codeword, the erasure list and the decode result,
-/// so steady-state slot resolution costs zero heap allocations (buffers reach
-/// their high-water capacity within the first few slots and stay there).
+/// Reusable per-receiver scratch for ReceiveWord / ResolveSlotPerSenderInto:
+/// the error pattern, the erasure list and the decode result, so
+/// steady-state reception costs zero heap allocations (buffers reach their
+/// high-water capacity within the first few words and stay there).
 struct ChannelScratch {
   std::vector<fec::GfElem> noisy;
-  std::vector<fec::GfElem> codeword;
   std::vector<int> erasures;
   fec::DecodeResult decode;
 };
 
-/// Sends one k-byte information block (checked always) through `model` and
-/// the RS decoder of `code`; writes the decoded block into `decoded` and
-/// returns false if the word fails to decode.  `errors_corrected_out`, if
-/// non-null, accumulates corrected symbol counts.  `use_erasure_side_info`
-/// feeds the model's erasure flags to the decoder (cf. the paper's [2]).
-/// Parity on demand: the model corrupts an all-zero word, giving the error
-/// pattern e (SymbolErrorModel's XOR contract); only a touched word (e != 0
-/// or erasures) is encoded to c and c ^ e decoded, exactly what an eagerly
-/// encoded word would have become.  An untouched word, by far the common
-/// case, is the sent block: no encode, no decode.
-bool ReceiveBlockInto(std::span<const fec::GfElem> block, const fec::ReedSolomon& code,
-                      SymbolErrorModel& model, ChannelScratch& scratch,
-                      std::vector<fec::GfElem>& decoded,
-                      int* errors_corrected_out = nullptr,
-                      bool use_erasure_side_info = false);
+/// What became of one RS word on its way through a channel.
+enum class WordFate {
+  kLost,          ///< the decoder failed: the receiver knows the word is gone
+  kIntact,        ///< decoded to the codeword that was sent (residual 0)
+  kMiscorrected,  ///< decoded to another codeword (residual != 0)
+};
 
-/// ReceiveBlockInto over `blocks` in order into `decoded` (resized; inner
-/// vectors keep their capacity).  Returns false at the first block that
-/// fails to decode; later blocks never reach the model.
-bool ApplyChannelInto(const std::vector<std::vector<fec::GfElem>>& blocks,
-                      const fec::ReedSolomon& code, SymbolErrorModel& model,
-                      ChannelScratch& scratch,
-                      std::vector<std::vector<fec::GfElem>>& decoded,
-                      int* errors_corrected_out = nullptr,
-                      bool use_erasure_side_info = false);
+/// Receives one word of `code` through `model` by decoding the error
+/// pattern, not the word.  The model corrupts an all-zero word, giving the
+/// pattern e (SymbolErrorModel's XOR contract).  RS decoding is linear:
+/// decoding c ^ e succeeds exactly when decoding e does, with the same
+/// corrections, and yields c's information XOR the information part of
+/// decode(e).  So no word is ever encoded: an untouched word (e = 0, no
+/// erasures) is kIntact without a decode, a touched one decodes e alone.
+/// Writes that information residual (k bytes, all zero unless
+/// kMiscorrected) into `residual`, which must hold exactly k bytes
+/// (checked always); it is unspecified after kLost.  `errors_corrected_out`,
+/// if non-null, accumulates corrected symbol counts.
+/// `use_erasure_side_info` feeds the model's erasure flags to the decoder
+/// (cf. the paper's [2]).
+WordFate ReceiveWord(const fec::ReedSolomon& code, SymbolErrorModel& model,
+                     ChannelScratch& scratch, std::span<fec::GfElem> residual,
+                     int* errors_corrected_out = nullptr,
+                     bool use_erasure_side_info = false);
 
 /// Collision-detecting multiple-access reverse channel.
 class ReverseChannel {
@@ -97,27 +100,22 @@ class ReverseChannel {
   void Transmit(CodedBurst burst);
 
   /// Collects (and removes) every pending burst overlapping `slot`, then
-  /// classifies the slot: idle, collision (>= 2 mutually overlapping
-  /// bursts), or a single burst to be decoded with `code` through `model`.
-  SlotReception ResolveSlot(Interval slot, const fec::ReedSolomon& code,
-                            SymbolErrorModel& model,
-                            bool use_erasure_side_info = false);
-
-  /// Like ResolveSlot but the caller supplies a per-sender error model via
-  /// callback (different mobiles see different uplink paths).
-  SlotReception ResolveSlotPerSender(
-      Interval slot, const fec::ReedSolomon& code,
-      const std::function<SymbolErrorModel&(int sender)>& model_for,
-      bool use_erasure_side_info = false);
-
-  /// Allocation-reusing ResolveSlotPerSender: resolves into `out`, reusing
-  /// its vectors' capacity (the caller keeps one SlotReception alive across
-  /// slots).  Same classification and decode semantics.
+  /// classifies the slot into `out`, reusing its vectors' capacity (the
+  /// caller keeps one SlotReception alive across slots): idle, collision
+  /// (>= 2 mutually overlapping bursts), or a single burst whose words are
+  /// received (ReceiveWord) with `code` through the sender's model from
+  /// `model_for`.  The burst fails at its first lost word; later words
+  /// never reach the model.
   void ResolveSlotPerSenderInto(
       Interval slot, const fec::ReedSolomon& code,
       const std::function<SymbolErrorModel&(int sender)>& model_for,
       ChannelScratch& scratch, SlotReception& out,
       bool use_erasure_side_info = false);
+
+  /// The bursts the last ResolveSlotPerSenderInto took off the air, in
+  /// transmit order; valid until the next resolution.  A sender that keeps
+  /// per-burst state by tag releases it here, whatever the outcome.
+  const std::vector<CodedBurst>& resolved() const { return collected_; }
 
   /// Number of bursts not yet resolved (should be 0 at cycle boundaries in
   /// a well-formed run; lingering bursts indicate a scheduling bug).
@@ -131,8 +129,8 @@ class ReverseChannel {
   void CollectInto(Interval slot, std::vector<CodedBurst>& hits);
 
   std::vector<CodedBurst> pending_;
-  /// Scratch for ResolveSlotPerSenderInto: reused across slots so slot
-  /// resolution does not allocate a fresh burst vector per slot.
+  /// The bursts of the last resolved slot (see resolved()): reused across
+  /// slots so slot resolution does not allocate a fresh burst vector.
   std::vector<CodedBurst> collected_;
 };
 

@@ -33,7 +33,8 @@ namespace osumac::phy {
 /// depend only on the model's state and private stream, never on the word.
 /// So corrupting any word w yields w ^ e for one error pattern e whose
 /// weight is the hit count; the channel reads e off an all-zero word and
-/// encodes only when e is nonzero (tests/channel_contract_test.cc).
+/// decodes e alone, never the word (phy::ReceiveWord,
+/// tests/channel_contract_test.cc).
 class SymbolErrorModel {
  public:
   virtual ~SymbolErrorModel() = default;

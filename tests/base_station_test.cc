@@ -2,26 +2,21 @@
 // reservation/demand handling, ACKs, contention-slot adjustment, CF2.
 #include <gtest/gtest.h>
 
+#include "decoded_bytes.h"
 #include "mac/base_station.h"
 
 namespace osumac::mac {
 namespace {
 
-phy::SlotReception Decoded(const std::vector<fec::GfElem>& info, int sender = 0) {
-  phy::SlotReception r;
-  r.outcome = phy::SlotOutcome::kDecoded;
-  r.info = {info};
-  r.sender = sender;
-  return r;
-}
+using Decoded = DecodedBytes;
 
-phy::SlotReception Collision() {
-  phy::SlotReception r;
+UplinkReception Collision() {
+  UplinkReception r;
   r.outcome = phy::SlotOutcome::kCollision;
   return r;
 }
 
-phy::SlotReception Idle() { return {}; }
+UplinkReception Idle() { return {}; }
 
 RegistrationPacket Reg(Ein ein, bool gps = false) {
   RegistrationPacket p;

@@ -6,17 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "decoded_bytes.h"
 #include "mac/base_station.h"
 
 namespace osumac::mac {
 namespace {
 
-phy::SlotReception Decoded(const std::vector<fec::GfElem>& info) {
-  phy::SlotReception r;
-  r.outcome = phy::SlotOutcome::kDecoded;
-  r.info = {info};
-  return r;
-}
+using Decoded = DecodedBytes;
 
 class PlanningFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -131,7 +127,7 @@ TEST_P(PlanningFuzz, ScheduleInvariantsHoldUnderChaos) {
           break;
         }
         case 3: {  // collision noise
-          phy::SlotReception r;
+          UplinkReception r;
           r.outcome = phy::SlotOutcome::kCollision;
           bs.OnDataSlotResolved(slot, r);
           break;
@@ -144,13 +140,13 @@ TEST_P(PlanningFuzz, ScheduleInvariantsHoldUnderChaos) {
           break;
         }
         case 5: {  // idle observation
-          bs.OnDataSlotResolved(slot, phy::SlotReception{});
+          bs.OnDataSlotResolved(slot, UplinkReception{});
           break;
         }
       }
     }
     // Track which uids became GPS users via the next CF's schedule.
-    bs.OnLastSlotOfPreviousCycle(phy::SlotReception{});
+    bs.OnLastSlotOfPreviousCycle(UplinkReception{});
     (void)bs.SecondControlFields();
     for (int i = 0; i < kMaxGpsSlots; ++i) {
       const UserId u = bs.gps_manager().OwnerOf(i);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -155,63 +156,102 @@ TEST(ControlFieldsTest, RandomValidSetsRoundTrip) {
   }
 }
 
-// --- per-receiver reuse (ReceivedControlFields) ------------------------------
+TEST(ControlFieldsTest, RoundTripAtFieldWidthExtremes) {
+  // Receivers whose words arrive intact act on the sent struct itself, so
+  // every field must survive the wire at both ends of its width.
+  ControlFields high;
+  high.cycle = 0xFFFF;
+  high.is_second_set = true;
+  high.gps_schedule.fill(kNoUser - 1);
+  high.reverse_schedule.fill(kNoUser - 1);
+  high.forward_schedule.fill(kNoUser);
+  high.reverse_acks.fill(kNoUser - 1);
+  high.gps_ack_bitmap = 0xFF;
+  high.grant_count = kMaxRegistrationGrants;
+  high.grants.fill(RegistrationGrant{0xFFFF, kNoUser - 1});
+  high.late_ack = kNoUser - 1;
+  high.late_grant = RegistrationGrant{0xFFFF, kNoUser - 1};
+  high.paged_count = kMaxPagedUsers;
+  high.paging.fill(0xFFFF);
+
+  ControlFields low;
+  low.gps_schedule.fill(0);
+  low.reverse_schedule.fill(0);
+  low.forward_schedule.fill(0);
+  low.reverse_acks.fill(0);
+  low.grants.fill(RegistrationGrant{0, 0});
+  low.late_ack = 0;
+  low.late_grant = RegistrationGrant{0, 0};
+
+  for (const ControlFields& cf : {high, low}) {
+    const ControlFieldBlocks blocks = SerializeControlFields(cf);
+    const auto parsed = ParseControlFields(blocks[0], blocks[1]);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, cf);
+  }
+}
+
+// --- a miscorrected receiver (MiscorrectedControlFields) ---------------------
 
 class ReceivedControlFieldsTest : public ::testing::Test {
  protected:
-  ControlFieldBlocks sent_ = SerializeControlFields(MakeBusyControlFields());
-  ControlFields sent_parsed_ = *ParseControlFields(sent_[0], sent_[1]);
-  std::vector<fec::GfElem> block0_{sent_[0].begin(), sent_[0].end()};
-  std::vector<fec::GfElem> block1_{sent_[1].begin(), sent_[1].end()};
-  std::optional<ControlFields> own_;
+  ControlFields sent_ = MakeBusyControlFields();
+  ControlFieldBlocks sent_bytes_ = SerializeControlFields(sent_);
+  /// Both words' information residuals, back to back.
+  std::vector<fec::GfElem> residual_ = std::vector<fec::GfElem>(96, 0);
 
-  const ControlFields* Receive() {
-    return ReceivedControlFields(sent_, sent_parsed_, block0_, block1_, own_);
+  std::optional<ControlFields> Receive() {
+    return MiscorrectedControlFields(sent_, residual_);
+  }
+  /// The bytes the receiver holds, parsed directly.
+  std::optional<ControlFields> ParseHeldBytes() const {
+    std::vector<fec::GfElem> held(sent_bytes_.bytes.begin(), sent_bytes_.bytes.end());
+    for (std::size_t i = 0; i < held.size(); ++i) held[i] ^= residual_[i];
+    return ParseControlFields(std::span(held).first(48), std::span(held).subspan(48));
   }
 };
 
 TEST_F(ReceivedControlFieldsTest, ByteEqualReceiverSharesTheSentParse) {
-  EXPECT_EQ(Receive(), &sent_parsed_);
-  EXPECT_FALSE(own_.has_value());
+  const auto got = Receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, sent_) << "a zero residual holds exactly the sent set";
 }
 
 TEST_F(ReceivedControlFieldsTest, OneByteDifferenceParsesTheReceiversOwnBytes) {
   // A miscorrected decode: one byte of block 0 differs (the cycle counter).
-  block0_[0] ^= 0x01;
-  const ControlFields* got = Receive();
-  ASSERT_NE(got, nullptr);
-  EXPECT_NE(got, &sent_parsed_);
-  EXPECT_EQ(got, &*own_);
-  EXPECT_EQ(*got, *ParseControlFields(block0_, block1_));
-  EXPECT_NE(got->cycle, sent_parsed_.cycle);
+  residual_[0] = 0x01;
+  const auto got = Receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, *ParseHeldBytes());
+  EXPECT_NE(got->cycle, sent_.cycle);
 }
 
 TEST_F(ReceivedControlFieldsTest, DifferenceInBlockOneIsSeenToo) {
-  block1_[0] ^= 0x80;  // first bit of block 1: reverse_acks[7]
-  const ControlFields* got = Receive();
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got, &*own_);
-  EXPECT_NE(got->reverse_acks, sent_parsed_.reverse_acks);
+  residual_[48] = 0x80;  // first bit of block 1: reverse_acks[7]
+  const auto got = Receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, *ParseHeldBytes());
+  EXPECT_NE(got->reverse_acks, sent_.reverse_acks);
 }
 
 TEST_F(ReceivedControlFieldsTest, ReservedBitDifferenceStillParsesOwnBytes) {
-  // The last byte holds only reserved bits: the struct would compare equal,
-  // but the decision is byte equality, so the receiver parses its own.
-  block1_.back() ^= 0xFF;
-  const ControlFields* got = Receive();
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got, &*own_);
-  EXPECT_EQ(*got, sent_parsed_);
+  // The last byte holds only reserved bits: the receiver's own bytes parse
+  // to a struct equal to the sent one.
+  residual_.back() = 0xFF;
+  const auto got = Receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, sent_);
 }
 
 TEST_F(ReceivedControlFieldsTest, MalformedOrShortBytesYieldNothing) {
-  block1_.pop_back();
-  EXPECT_EQ(Receive(), nullptr);
-  block1_.assign(sent_[1].begin(), sent_[1].end());
   // grant_count sits at bits 410..411 (byte 51 = block 1 byte 3, bits 2..3):
   // the value 3 exceeds kMaxRegistrationGrants.
-  block1_[3] |= 0x30;
-  EXPECT_EQ(Receive(), nullptr);
+  residual_[51] = static_cast<fec::GfElem>((sent_bytes_.bytes[51] & 0x30) ^ 0x30);
+  EXPECT_FALSE(Receive().has_value());
+  EXPECT_FALSE(ParseHeldBytes().has_value());
+  // A residual must cover both words exactly.
+  residual_.pop_back();
+  EXPECT_DEATH(Receive(), "lhs = 95, rhs = 96");
 }
 
 }  // namespace

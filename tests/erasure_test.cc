@@ -51,15 +51,17 @@ TEST(ErasureSideInfoTest, SideInfoRoughlyDoublesBurstTolerance) {
   auto run = [&](bool side_info) {
     phy::GilbertElliottModel model(HarshFades(), 402);  // same noise realization per mode
     phy::ChannelScratch scratch;
-    std::vector<fec::GfElem> decoded;
+    std::vector<fec::GfElem> residual(48);
     int failures = 0;
     const int words = 3000;
     for (int i = 0; i < words; ++i) {
-      std::vector<fec::GfElem> data(48, static_cast<fec::GfElem>(i & 0xFF));
-      if (!phy::ReceiveBlockInto(data, rs, model, scratch, decoded, nullptr, side_info)) {
+      const phy::WordFate fate =
+          phy::ReceiveWord(rs, model, scratch, residual, nullptr, side_info);
+      if (fate == phy::WordFate::kLost) {
         ++failures;
       } else {
-        EXPECT_EQ(decoded, data) << "never silently wrong";
+        EXPECT_EQ(fate, phy::WordFate::kIntact) << "never silently wrong";
+        EXPECT_EQ(residual, std::vector<fec::GfElem>(48, 0));
       }
     }
     return failures;
@@ -97,13 +99,12 @@ TEST(ErasureSideInfoTest, EndToEndGpsLossDrops) {
 TEST(ErasureSideInfoTest, NoEffectOnUniformChannels) {
   // The uniform model has no side information; both modes behave alike.
   const auto& rs = fec::ReedSolomon::Osu6448();
-  std::vector<fec::GfElem> data(48, 0x5A);
   phy::UniformErrorModel m1(0.05, 404), m2(0.05, 404);
   phy::ChannelScratch s1, s2;
-  std::vector<fec::GfElem> d1, d2;
+  std::vector<fec::GfElem> r1(48), r2(48);
   for (int i = 0; i < 200; ++i) {
-    const bool a = phy::ReceiveBlockInto(data, rs, m1, s1, d1, nullptr, false);
-    const bool b = phy::ReceiveBlockInto(data, rs, m2, s2, d2, nullptr, true);
+    const phy::WordFate a = phy::ReceiveWord(rs, m1, s1, r1, nullptr, false);
+    const phy::WordFate b = phy::ReceiveWord(rs, m2, s2, r2, nullptr, true);
     EXPECT_EQ(a, b);
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "decoded_bytes.h"
 #include "fec/reed_solomon.h"
 #include "mac/cell.h"
 #include "mac/control_fields.h"
@@ -28,24 +29,13 @@ TEST(FuzzTest, UplinkPacketParserSurvivesRandomBytes) {
     if (!packet.has_value()) continue;
     ++parsed;
     // Whatever parsed must be internally consistent.
-    switch (packet->kind) {
-      case mac::PacketKind::kData:
-        ASSERT_TRUE(packet->data.has_value());
-        EXPECT_LE(packet->data->payload_bytes, mac::kPacketPayloadBytes);
-        break;
-      case mac::PacketKind::kReservation:
-        ASSERT_TRUE(packet->reservation.has_value());
-        break;
-      case mac::PacketKind::kRegistration:
-        ASSERT_TRUE(packet->registration.has_value());
-        break;
-      case mac::PacketKind::kDeregistration:
-        ASSERT_TRUE(packet->deregistration.has_value());
-        break;
-      case mac::PacketKind::kForwardAck:
-        ASSERT_TRUE(packet->forward_ack.has_value());
-        EXPECT_LE(packet->forward_ack->count, mac::kMaxForwardAcks);
-        break;
+    if (const auto* data = std::get_if<mac::DataPacket>(&*packet)) {
+      EXPECT_LE(data->payload_bytes, mac::kPacketPayloadBytes);
+    } else if (const auto* ack = std::get_if<mac::ForwardAckPacket>(&*packet)) {
+      EXPECT_LE(ack->count, mac::kMaxForwardAcks);
+    } else {
+      ASSERT_FALSE(std::holds_alternative<mac::GpsPacket>(*packet))
+          << "a 48-byte block never parses as a GPS report";
     }
   }
   EXPECT_GT(parsed, 0) << "some random blocks should parse (weak headers)";
@@ -117,10 +107,7 @@ TEST(FuzzTest, HostileBytesOnTheAirDoNotCorruptTheBaseStation) {
   Rng rng(306);
   auto& bs = cell.base_station();
   for (int i = 0; i < 200; ++i) {
-    phy::SlotReception r;
-    r.outcome = phy::SlotOutcome::kDecoded;
-    r.info = {RandomBytes(48, rng)};
-    r.sender = 99;
+    const mac::DecodedBytes r(RandomBytes(48, rng));
     bs.OnDataSlotResolved(static_cast<int>(rng.UniformInt(0, 8)), r);
   }
   // The legitimate user still works end to end once the phantom demand

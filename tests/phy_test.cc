@@ -2,6 +2,8 @@
 // half-duplex radio, and the collision-detecting reverse channel.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.h"
 #include "fec/reed_solomon.h"
 #include "phy/channel.h"
@@ -167,44 +169,52 @@ TEST(RadioTest, ForgetPrunesOldCommitments) {
 
 // --- reverse channel ---------------------------------------------------------------
 
-CodedBurst MakeBurst(Interval when, int sender, const fec::ReedSolomon& rs, Rng& rng) {
-  std::vector<fec::GfElem> data(static_cast<std::size_t>(rs.k()));
-  for (auto& b : data) b = static_cast<fec::GfElem>(rng.UniformInt(0, 255));
+CodedBurst MakeBurst(Interval when, int sender) {
   CodedBurst burst;
   burst.on_air = when;
   burst.sender = sender;
-  burst.blocks.push_back(data);
   return burst;
+}
+
+SlotReception ResolvePerSender(ReverseChannel& ch, Interval slot, const fec::ReedSolomon& rs,
+                               const std::function<SymbolErrorModel&(int)>& model_for) {
+  ChannelScratch scratch;
+  SlotReception reception;
+  ch.ResolveSlotPerSenderInto(slot, rs, model_for, scratch, reception);
+  return reception;
+}
+
+SlotReception Resolve(ReverseChannel& ch, Interval slot, const fec::ReedSolomon& rs,
+                      SymbolErrorModel& model) {
+  return ResolvePerSender(ch, slot, rs, [&model](int) -> SymbolErrorModel& { return model; });
 }
 
 TEST(ReverseChannelTest, IdleSlot) {
   ReverseChannel ch;
   PerfectChannel model;
-  const auto r = ch.ResolveSlot({0, 100}, fec::ReedSolomon::Osu6448(), model);
+  const auto r = Resolve(ch, {0, 100}, fec::ReedSolomon::Osu6448(), model);
   EXPECT_EQ(r.outcome, SlotOutcome::kIdle);
 }
 
 TEST(ReverseChannelTest, SingleBurstDecodes) {
   ReverseChannel ch;
   PerfectChannel model;
-  Rng rng(7);
   const auto& rs = fec::ReedSolomon::Osu6448();
-  ch.Transmit(MakeBurst({0, 100}, 3, rs, rng));
-  const auto r = ch.ResolveSlot({0, 100}, rs, model);
+  ch.Transmit(MakeBurst({0, 100}, 3));
+  const auto r = Resolve(ch, {0, 100}, rs, model);
   EXPECT_EQ(r.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r.sender, 3);
-  ASSERT_EQ(r.info.size(), 1u);
-  EXPECT_EQ(static_cast<int>(r.info[0].size()), rs.k());
+  ASSERT_EQ(static_cast<int>(r.residual.size()), rs.k()) << "one word's residual";
+  EXPECT_FALSE(r.miscorrected);
 }
 
 TEST(ReverseChannelTest, OverlappingBurstsCollide) {
   ReverseChannel ch;
   PerfectChannel model;
-  Rng rng(8);
   const auto& rs = fec::ReedSolomon::Osu6448();
-  ch.Transmit(MakeBurst({0, 100}, 1, rs, rng));
-  ch.Transmit(MakeBurst({50, 150}, 2, rs, rng));
-  const auto r = ch.ResolveSlot({0, 150}, rs, model);
+  ch.Transmit(MakeBurst({0, 100}, 1));
+  ch.Transmit(MakeBurst({50, 150}, 2));
+  const auto r = Resolve(ch, {0, 150}, rs, model);
   EXPECT_EQ(r.outcome, SlotOutcome::kCollision);
   EXPECT_EQ(r.colliders, (std::vector<int>{1, 2}));
 }
@@ -212,15 +222,14 @@ TEST(ReverseChannelTest, OverlappingBurstsCollide) {
 TEST(ReverseChannelTest, DisjointSlotsResolveIndependently) {
   ReverseChannel ch;
   PerfectChannel model;
-  Rng rng(9);
   const auto& rs = fec::ReedSolomon::Osu6448();
-  ch.Transmit(MakeBurst({0, 100}, 1, rs, rng));
-  ch.Transmit(MakeBurst({200, 300}, 2, rs, rng));
-  const auto r1 = ch.ResolveSlot({0, 100}, rs, model);
+  ch.Transmit(MakeBurst({0, 100}, 1));
+  ch.Transmit(MakeBurst({200, 300}, 2));
+  const auto r1 = Resolve(ch, {0, 100}, rs, model);
   EXPECT_EQ(r1.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r1.sender, 1);
   EXPECT_EQ(ch.pending_bursts(), 1u);
-  const auto r2 = ch.ResolveSlot({200, 300}, rs, model);
+  const auto r2 = Resolve(ch, {200, 300}, rs, model);
   EXPECT_EQ(r2.outcome, SlotOutcome::kDecoded);
   EXPECT_EQ(r2.sender, 2);
   EXPECT_EQ(ch.pending_bursts(), 0u);
@@ -229,12 +238,11 @@ TEST(ReverseChannelTest, DisjointSlotsResolveIndependently) {
 TEST(ReverseChannelTest, HeavyNoiseYieldsDecodeFailureNotCorruption) {
   ReverseChannel ch;
   UniformErrorModel model(0.5, 10);  // way beyond t = 8 correctable symbols
-  Rng rng(10);
   const auto& rs = fec::ReedSolomon::Osu6448();
   int failures = 0;
   for (int i = 0; i < 50; ++i) {
-    ch.Transmit(MakeBurst({i * 100, i * 100 + 50}, 1, rs, rng));
-    const auto r = ch.ResolveSlot({i * 100, i * 100 + 50}, rs, model);
+    ch.Transmit(MakeBurst({i * 100, i * 100 + 50}, 1));
+    const auto r = Resolve(ch, {i * 100, i * 100 + 50}, rs, model);
     if (r.outcome == SlotOutcome::kDecodeFailure) ++failures;
   }
   EXPECT_GE(failures, 48) << "overwhelmed decoder must fail, not lie";
@@ -242,19 +250,18 @@ TEST(ReverseChannelTest, HeavyNoiseYieldsDecodeFailureNotCorruption) {
 
 TEST(ReverseChannelTest, PerSenderModels) {
   ReverseChannel ch;
-  Rng rng(11);
   const auto& rs = fec::ReedSolomon::Osu6448();
   PerfectChannel good;
   UniformErrorModel bad(0.9, 11);
-  ch.Transmit(MakeBurst({0, 100}, 0, rs, rng));
-  ch.Transmit(MakeBurst({200, 300}, 1, rs, rng));
+  ch.Transmit(MakeBurst({0, 100}, 0));
+  ch.Transmit(MakeBurst({200, 300}, 1));
   auto model_for = [&](int sender) -> SymbolErrorModel& {
     return sender == 0 ? static_cast<SymbolErrorModel&>(good)
                        : static_cast<SymbolErrorModel&>(bad);
   };
-  EXPECT_EQ(ch.ResolveSlotPerSender({0, 100}, rs, model_for).outcome,
+  EXPECT_EQ(ResolvePerSender(ch, {0, 100}, rs, model_for).outcome,
             SlotOutcome::kDecoded);
-  EXPECT_EQ(ch.ResolveSlotPerSender({200, 300}, rs, model_for).outcome,
+  EXPECT_EQ(ResolvePerSender(ch, {200, 300}, rs, model_for).outcome,
             SlotOutcome::kDecodeFailure);
 }
 

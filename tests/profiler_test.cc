@@ -302,10 +302,11 @@ TEST(ProfilerTest, ScenarioRunPopulatesThePipelineZones) {
   ASSERT_FALSE(profiler.empty());
   EXPECT_EQ(profiler.open_depth(), 0);
   const std::string folded = Collapsed(profiler);
-  for (const char* zone : {"exp.measure", "cell.plan", "cell.cf",
-                           "fec.encode", "fec.decode"}) {
+  for (const char* zone : {"exp.measure", "cell.plan", "cell.cf", "fec.decode"}) {
     EXPECT_NE(folded.find(zone), std::string::npos) << zone;
   }
+  // The PHY decodes error patterns only: no simulation encodes a word.
+  EXPECT_EQ(folded.find("fec.encode"), std::string::npos);
   // Profiling must observe, never steer: the run's figures are identical
   // with and without a live profiler.
   const exp::RunResult with = [&spec] {

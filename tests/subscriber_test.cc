@@ -2,10 +2,25 @@
 // hand-built control fields.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <variant>
+#include <vector>
+
 #include "mac/subscriber.h"
 
 namespace osumac::mac {
 namespace {
+
+/// What the base station parses from `burst`'s bytes on the air.
+std::optional<UplinkFrame> OnAir(const PlannedBurst& burst) {
+  std::vector<fec::GfElem> bytes;
+  SerializeUplinkFrame(burst.frame, bytes);
+  std::optional<UplinkFrame> parsed = ParseUplinkPacket(bytes);
+  if (parsed.has_value()) {
+    EXPECT_TRUE(*parsed == burst.frame) << "built at wire widths";
+  }
+  return parsed;
+}
 
 class SubscriberTest : public ::testing::Test {
  protected:
@@ -51,10 +66,10 @@ TEST_F(SubscriberTest, RegistersAfterSync) {
   const auto bursts = Deliver(sub, ControlFields{});
   EXPECT_EQ(sub.state(), MobileSubscriber::State::kRegistering);
   ASSERT_EQ(bursts.size(), 1u) << "registration attempt in a contention slot";
-  const auto parsed = ParseUplinkPacket(bursts[0].info);
+  const auto parsed = OnAir(bursts[0]);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->kind, PacketKind::kRegistration);
-  EXPECT_EQ(parsed->registration->ein, sub.ein());
+  ASSERT_TRUE(std::holds_alternative<RegistrationPacket>(*parsed));
+  EXPECT_EQ(std::get<RegistrationPacket>(*parsed).ein, sub.ein());
 }
 
 TEST_F(SubscriberTest, AdoptsGrantedUserId) {
@@ -103,11 +118,11 @@ TEST_F(SubscriberTest, SendsDataInGrantedSlotsWithPiggyback) {
   const auto bursts = Deliver(sub, cf);
   ASSERT_EQ(bursts.size(), 2u);
   for (const auto& b : bursts) {
-    const auto parsed = ParseUplinkPacket(b.info);
+    const auto parsed = OnAir(b);
     ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->kind, PacketKind::kData);
-    EXPECT_EQ(parsed->data->header.src, 5);
-    EXPECT_EQ(parsed->data->header.more_slots, 1) << "remaining queue piggybacked";
+    ASSERT_TRUE(std::holds_alternative<DataPacket>(*parsed));
+    EXPECT_EQ(std::get<DataPacket>(*parsed).header.src, 5);
+    EXPECT_EQ(std::get<DataPacket>(*parsed).header.more_slots, 1) << "remaining queue piggybacked";
   }
   EXPECT_EQ(sub.queued_packets(), 1);
 }
@@ -133,9 +148,9 @@ TEST_F(SubscriberTest, AckedPacketsAreDeliveredUnackedRetransmitted) {
   EXPECT_EQ(sub.stats().packets_delivered, 1);
   EXPECT_EQ(sub.stats().packets_retransmitted, 1);
   ASSERT_EQ(retx.size(), 1u) << "immediate contention retransmission";
-  const auto parsed_retx = ParseUplinkPacket(retx[0].info);
+  const auto parsed_retx = OnAir(retx[0]);
   ASSERT_TRUE(parsed_retx.has_value());
-  EXPECT_EQ(parsed_retx->kind, PacketKind::kData);
+  EXPECT_TRUE(std::holds_alternative<DataPacket>(*parsed_retx));
   EXPECT_EQ(sub.stats().packet_delay_cycles.size(), 1u);
 }
 
@@ -163,9 +178,9 @@ TEST_F(SubscriberTest, ContendsWhenIdleAndUsesReservationForBigQueue) {
   ASSERT_TRUE(sub.EnqueueMessage(100, 5 * 44, cycle_start_));
   const auto bursts = Deliver(sub, ControlFields{});
   ASSERT_EQ(bursts.size(), 1u);
-  const auto parsed = ParseUplinkPacket(bursts[0].info);
-  ASSERT_EQ(parsed->kind, PacketKind::kReservation);
-  EXPECT_EQ(parsed->reservation->slots_requested, 5);
+  const auto parsed = OnAir(bursts[0]);
+  ASSERT_TRUE(std::holds_alternative<ReservationPacket>(*parsed));
+  EXPECT_EQ(std::get<ReservationPacket>(*parsed).slots_requested, 5);
   EXPECT_EQ(sub.stats().reservation_packets_sent, 1);
 }
 
@@ -177,8 +192,8 @@ TEST_F(SubscriberTest, SinglePacketGoesDirectlyIntoContention) {
   ASSERT_TRUE(sub.EnqueueMessage(100, 30, cycle_start_));
   const auto bursts = Deliver(sub, ControlFields{});
   ASSERT_EQ(bursts.size(), 1u);
-  const auto parsed = ParseUplinkPacket(bursts[0].info);
-  ASSERT_EQ(parsed->kind, PacketKind::kData);
+  const auto parsed = OnAir(bursts[0]);
+  ASSERT_TRUE(std::holds_alternative<DataPacket>(*parsed));
   EXPECT_EQ(sub.stats().contention_data_sent, 1);
 }
 
