@@ -25,7 +25,8 @@
 //
 // The default run also re-executes the figure sweep with the per-cycle run
 // journal enabled (the sweep_journaled perf phase, gated at 1.10x of the
-// journal-off sweep by tools/check_perf.py) and writes the merged digest
+// journal-off sweep by tools/check_perf.py, median against median over
+// five interleaved repetitions) and writes the merged digest
 // chains as RUN_journal.jsonl — the artifact CI's diff-smoke job compares
 // across --jobs 1 / --jobs 8 with tools/osumac_diff.py.  --no-journal
 // skips that phase (used by the TSan soak, where the run is about races,
@@ -145,28 +146,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("running %zu scenario points (jobs=%d)...\n", specs.size(), jobs);
-  const obs::Stopwatch sweep_watch;
-  std::vector<exp::RunResult> results;
-  {
-    obs::ScopedWallTimer timer(wall, "sweep");
-    results = exp::SweepRunner(jobs).Run(specs);
-  }
-  const double wall_seconds = sweep_watch.Seconds();
-
   // The journaled re-run: the same spec list with the per-cycle run journal
   // on (journal_every = 1).  Its wall phase is CI's overhead gate — check
   // tools/check_perf.py: sweep_journaled must stay within 1.10x of the
   // journal-off sweep — and its merged digest chains become
-  // RUN_journal.jsonl, the jobs-invariance artifact for diff-smoke.
+  // RUN_journal.jsonl, the jobs-invariance artifact for diff-smoke.  Both
+  // sweeps run kSweepReps times, interleaved (sweep, journaled, sweep, ...)
+  // so host load drifts over both alike, and the gate compares medians;
+  // every pass computes the same deterministic results.
+  constexpr int kSweepReps = 5;
+  std::vector<exp::ScenarioSpec> journaled_specs = specs;
+  for (exp::ScenarioSpec& s : journaled_specs) s.journal_every = 1;
+  std::printf("running %zu scenario points%s (jobs=%d, %d reps)...\n", specs.size(),
+              no_journal ? "" : " journal-off and journaled", jobs, kSweepReps);
+  std::vector<exp::RunResult> results;
   std::vector<exp::RunResult> journaled_results;
-  if (!no_journal) {
-    std::vector<exp::ScenarioSpec> journaled_specs = specs;
-    for (exp::ScenarioSpec& s : journaled_specs) s.journal_every = 1;
-    std::printf("running %zu journaled points (jobs=%d)...\n",
-                journaled_specs.size(), jobs);
-    obs::ScopedWallTimer timer(wall, "sweep_journaled");
-    journaled_results = exp::SweepRunner(jobs).Run(journaled_specs);
+  double wall_seconds = 0.0;  // the first journal-off pass
+  for (int rep = 0; rep < kSweepReps; ++rep) {
+    {
+      const obs::Stopwatch sweep_watch;
+      obs::ScopedWallTimer timer(wall, "sweep");
+      results = exp::SweepRunner(jobs).Run(specs);
+      if (rep == 0) wall_seconds = sweep_watch.Seconds();
+    }
+    if (!no_journal) {
+      obs::ScopedWallTimer timer(wall, "sweep_journaled");
+      journaled_results = exp::SweepRunner(jobs).Run(journaled_specs);
+    }
   }
 
   // The network observability point: a small multi-cell run whose merged
